@@ -1,5 +1,5 @@
 // Detection-quality ablations for the design choices the paper argues
-// for (and DESIGN.md calls out):
+// for:
 //
 //   A. ordering criterion — connection gain Σ 1/(λ+1) first (paper §3.2.1)
 //      vs. min-cut first (the paper: min-cut-first readily absorbs weakly

@@ -1,6 +1,5 @@
 // Performance microbenchmarks (google-benchmark) validating the paper's
-// complexity claims (Ch. IV) and the design-choice ablations DESIGN.md
-// calls out:
+// complexity claims (Ch. IV) and its design-choice ablations:
 //   * Phase I ordering cost ~ O(|E| ln |V|) — growth rate across sizes;
 //   * the large-net update-skip trick (paper's K=20) on fanout-heavy nets;
 //   * Phase III refinement cost vs. detection quality;
@@ -15,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "finder/finder.hpp"
@@ -31,7 +29,6 @@
 #include "place/congestion.hpp"
 #include "place/linear_system.hpp"
 #include "place/quadratic_placer.hpp"
-#include "util/indexed_dary_heap.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -103,114 +100,6 @@ void BM_LargeNetThreshold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LargeNetThreshold)->Arg(0)->Arg(1);
-
-/// Frontier-structure microbenchmark: the exact op mix Phase I issues
-/// (push on discovery, update_key on neighbor gain change, pop/erase on
-/// absorb) on the production indexed 4-ary heap vs the previous
-/// node-based std::set frontier.  Keys mirror FrontierKey: (gain desc,
-/// delta asc, id asc) — a strict total order.
-struct ChurnKey {
-  double gain;
-  std::int32_t delta;
-  std::uint32_t id;
-};
-struct ChurnLess {
-  bool operator()(const ChurnKey& a, const ChurnKey& b) const {
-    if (a.gain != b.gain) return a.gain > b.gain;
-    if (a.delta != b.delta) return a.delta < b.delta;
-    return a.id < b.id;
-  }
-};
-
-/// Pre-computed deterministic op tape so both structures replay the same
-/// work: fill with kChurnIds pushes, then one pop + up to
-/// `kUpdatesPerStep` re-keys per absorb-step until drained.
-struct ChurnTape {
-  std::vector<std::uint32_t> update_ids;
-  std::vector<double> update_gains;
-};
-constexpr std::uint32_t kChurnIds = 32'768;
-constexpr int kUpdatesPerStep = 8;
-
-const ChurnTape& churn_tape() {
-  static const ChurnTape tape = [] {
-    ChurnTape t;
-    Rng rng(71);
-    const std::size_t n = static_cast<std::size_t>(kChurnIds) *
-                          kUpdatesPerStep;
-    t.update_ids.reserve(n);
-    t.update_gains.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      t.update_ids.push_back(
-          static_cast<std::uint32_t>(rng.next_below(kChurnIds)));
-      t.update_gains.push_back(rng.next_double() * 4.0);
-    }
-    return t;
-  }();
-  return tape;
-}
-
-void BM_FrontierIndexedHeap(benchmark::State& state) {
-  const ChurnTape& tape = churn_tape();
-  IndexedDaryHeap<ChurnKey, ChurnLess> heap;
-  heap.reset(kChurnIds);
-  std::size_t ops = 0;
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < kChurnIds; ++i) {
-      heap.push(i, ChurnKey{tape.update_gains[i], 0, i});
-    }
-    std::size_t cursor = 0;
-    for (std::uint32_t step = 0; step < kChurnIds; ++step) {
-      const std::uint32_t victim = heap.top().id;
-      heap.pop();
-      for (int u = 0; u < kUpdatesPerStep; ++u, ++cursor) {
-        const std::uint32_t id = tape.update_ids[cursor];
-        if (id != victim && heap.contains(id)) {
-          heap.update_key(id, ChurnKey{tape.update_gains[cursor], 0, id});
-          ++ops;
-        }
-      }
-      ++ops;
-    }
-    benchmark::DoNotOptimize(heap.empty());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_FrontierIndexedHeap);
-
-void BM_FrontierStdSet(benchmark::State& state) {
-  const ChurnTape& tape = churn_tape();
-  std::set<ChurnKey, ChurnLess> frontier;
-  std::vector<double> gain(kChurnIds);
-  std::vector<std::uint8_t> present(kChurnIds);
-  std::size_t ops = 0;
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < kChurnIds; ++i) {
-      gain[i] = tape.update_gains[i];
-      present[i] = 1;
-      frontier.insert(ChurnKey{gain[i], 0, i});
-    }
-    std::size_t cursor = 0;
-    for (std::uint32_t step = 0; step < kChurnIds; ++step) {
-      const std::uint32_t victim = frontier.begin()->id;
-      frontier.erase(frontier.begin());
-      present[victim] = 0;
-      for (int u = 0; u < kUpdatesPerStep; ++u, ++cursor) {
-        const std::uint32_t id = tape.update_ids[cursor];
-        if (id != victim && present[id]) {
-          frontier.erase(ChurnKey{gain[id], 0, id});
-          gain[id] = tape.update_gains[cursor];
-          frontier.insert(ChurnKey{gain[id], 0, id});
-          ++ops;
-        }
-      }
-      ++ops;
-    }
-    benchmark::DoNotOptimize(frontier.empty());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_FrontierStdSet);
 
 /// GroupConnectivity update cost (the inner loop of everything).
 void BM_GroupConnectivityAdd(benchmark::State& state) {

@@ -44,7 +44,7 @@ import subprocess
 import sys
 
 DEFAULT_FILTER = (
-    "BM_OrderingGrow|BM_Frontier|BM_GroupConnectivity|BM_GroupAssignSmall|"
+    "BM_OrderingGrow|BM_GroupConnectivity|BM_GroupAssignSmall|"
     "BM_RefineCandidate|BM_LargeNetThreshold|"
     "BM_ScoreCurve|BM_RefinePhase|BM_FinderRun|"
     "BM_FinderColdStart|BM_FinderReuse|"

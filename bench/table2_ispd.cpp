@@ -3,7 +3,7 @@
 //
 // The real benchmark data is not redistributable, so each circuit is a
 // synthetic stand-in with the paper's |V| (scaled), a Rent-rule background
-// and a planted population of tangled structures (see DESIGN.md).  To run
+// and a planted population of tangled structures.  To run
 // against the real data, pass --aux=<path to .aux file> instead.
 //
 // Reported per design (paper's columns): |V|, #seeds, #GTL found, the top

@@ -4,8 +4,7 @@
 //
 // The real benchmark files drop straight into this reader; since they are
 // not redistributable, graphgen/ synthesizes circuits with matched
-// statistics and this writer emits them in the same format (see DESIGN.md,
-// substitution table).
+// statistics and this writer emits them in the same format.
 //
 // The reader is a strictly-validating, zero-copy scanner: each file is
 // read in one buffered gulp and tokenized in place (std::string_view +

@@ -1,11 +1,14 @@
 #include "order/linear_ordering.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/require.hpp"
 
 namespace gtl {
 namespace {
+
+constexpr std::uint32_t kArity = 4;
 
 /// Contribution of net `e` (with `k` pins in the group) to an outside
 /// pin's connection gain.  Inactive (above-threshold or 1-pin) nets
@@ -34,51 +37,72 @@ NetContribution contribution(std::uint32_t net_size, std::uint32_t k,
 }  // namespace
 
 OrderingEngine::OrderingEngine(const Netlist& nl, OrderingConfig cfg)
-    : nl_(&nl),
-      cfg_(cfg),
-      conn_(nl.num_cells(), 0.0),
-      cut_delta_(nl.num_cells(), 0),
-      state_(nl.num_cells(), 0),
-      pins_in_(nl.num_nets(), 0),
-      frontier_(FrontierCompare{cfg.min_cut_first}) {
-  frontier_.reset(nl.num_cells());
+    : nl_(&nl), cfg_(cfg), cells_(nl.num_cells()), nets_(nl.num_nets()) {
+  GTL_REQUIRE(cfg.max_length >= 1, "max_length (Z) must be at least 1");
+  GTL_REQUIRE(nl.num_cells() <= kUntouched, "too many cells");
+  for (NetId e = 0; e < nl.num_nets(); ++e) nets_[e] = {nl.net_size(e), 0};
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    std::int32_t base = 0;
+    for (const NetId f : nl.nets_of(c)) {
+      base += contribution(nets_[f].size, 0, cfg.large_net_threshold).cut_delta;
+    }
+    cells_[c] = {nl.is_fixed(c) ? kFixed : kUntouched, base};
+  }
 }
 
 void OrderingEngine::reset() {
-  for (const CellId c : touched_cells_) {
-    conn_[c] = 0.0;
-    cut_delta_[c] = 0;
-    state_[c] = 0;
-  }
+  for (const CellId c : touched_cells_) cells_[c].slot = kUntouched;
   touched_cells_.clear();
-  for (const NetId e : touched_nets_) pins_in_[e] = 0;
+  for (const NetId e : touched_nets_) nets_[e].k = 0;
   touched_nets_.clear();
-  frontier_.clear();
+  heap_.clear();
   cut_ = 0;
   pins_in_group_ = 0;
 }
 
-void OrderingEngine::touch_cell(CellId c) {
-  if (state_[c] == 0) touched_cells_.push_back(c);
+void OrderingEngine::sift_up(std::uint32_t at, FrontierEntry e) {
+  while (at > 0) {
+    const std::uint32_t parent = (at - 1) / kArity;
+    if (!ranks_before(e, heap_[parent])) break;
+    place(at, heap_[parent]);
+    at = parent;
+  }
+  place(at, e);
 }
 
-void OrderingEngine::frontier_update(CellId c, double new_conn,
-                                     std::int32_t new_delta) {
-  conn_[c] = new_conn;
-  cut_delta_[c] = new_delta;
-  frontier_.update_key(c, FrontierKey{new_conn, new_delta, c});
+void OrderingEngine::sift_down(std::uint32_t at, FrontierEntry e) {
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  for (;;) {
+    const std::uint64_t first = std::uint64_t{at} * kArity + 1;
+    if (first >= n) break;
+    const auto end =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(first + kArity, n));
+    auto best = static_cast<std::uint32_t>(first);
+    for (std::uint32_t c = best + 1; c < end; ++c) {
+      if (ranks_before(heap_[c], heap_[best])) best = c;
+    }
+    if (!ranks_before(heap_[best], e)) break;
+    place(at, heap_[best]);
+    at = best;
+  }
+  place(at, e);
+}
+
+void OrderingEngine::pop_top() {
+  const FrontierEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void OrderingEngine::absorb(CellId u) {
-  if (state_[u] == 1) frontier_.erase(u);
-  touch_cell(u);
-  state_[u] = 2;
+  cells_[u].slot = kInGroup;
   pins_in_group_ += nl_->cell_degree(u);
 
   const std::uint32_t threshold = cfg_.large_net_threshold;
   for (const NetId e : nl_->nets_of(u)) {
-    const std::uint32_t size = nl_->net_size(e);
-    const std::uint32_t k_old = pins_in_[e];
+    NetState& net = nets_[e];
+    const std::uint32_t size = net.size;
+    const std::uint32_t k_old = net.k++;
     if (k_old == 0) touched_nets_.push_back(e);
 
     // Exact cut maintenance (the reported T(C_k) is never approximated).
@@ -87,38 +111,39 @@ void OrderingEngine::absorb(CellId u) {
       if (k_old + 1 == size) --cut_;
     }
 
-    const NetContribution before = contribution(size, k_old, threshold);
-    pins_in_[e] = k_old + 1;
+    // An inactive net (1-pin, or λ at or above the threshold) moves no
+    // gain: with one pin fewer in the group it was inactive too.  A net
+    // with every pin in the group has no outside pin left to update.
     const NetContribution after = contribution(size, k_old + 1, threshold);
-
-    // If the net contributes nothing before and after (inactive large net
-    // or fully interior), its outside pins need no attention.
-    const bool discover = after.conn != 0.0 || after.cut_delta != 0;
-    const bool changed = before.conn != after.conn ||
-                         before.cut_delta != after.cut_delta;
-    if (!discover && !changed) continue;
+    if (after.conn == 0.0 || k_old + 1 == size) continue;
+    const NetContribution before = contribution(size, k_old, threshold);
 
     for (const CellId w : nl_->pins_of(e)) {
-      if (w == u || state_[w] == 2 || nl_->is_fixed(w)) continue;
-      if (state_[w] == 0) {
-        // Lazy initialization: compute exact current gains from scratch
-        // (sees the already-updated pins_in_[e], so no delta is applied).
-        touch_cell(w);
-        state_[w] = 1;
-        double conn = 0.0;
-        std::int32_t delta = 0;
-        for (const NetId f : nl_->nets_of(w)) {
-          const NetContribution cf =
-              contribution(nl_->net_size(f), pins_in_[f], threshold);
-          conn += cf.conn;
-          delta += cf.cut_delta;
+      CellState& s = cells_[w];
+      if (s.slot == kUntouched) {
+        // O(1) discovery.  A cell is first reached through the first of
+        // its active nets to gain a group pin, so all its other active
+        // nets still have k = 0.  A from-scratch sum over w's nets thus
+        // gives conn = after.conn and base_delta with e's k = 0 term
+        // (before.cut_delta; before.conn is 0) replaced by
+        // after.cut_delta.
+        touched_cells_.push_back(w);
+        heap_.emplace_back();
+        sift_up(static_cast<std::uint32_t>(heap_.size() - 1),
+                {after.conn, s.base_delta - before.cut_delta + after.cut_delta,
+                 w});
+      } else if (s.slot < kUntouched) {
+        const std::uint32_t at = s.slot;
+        // Keep the left-to-right sum: another association rounds
+        // differently and would change tie-breaks.
+        const FrontierEntry moved{
+            heap_[at].conn + after.conn - before.conn,
+            heap_[at].cut_delta + after.cut_delta - before.cut_delta, w};
+        if (ranks_before(moved, heap_[at])) {
+          sift_up(at, moved);
+        } else {
+          sift_down(at, moved);
         }
-        conn_[w] = conn;
-        cut_delta_[w] = delta;
-        frontier_.push(w, FrontierKey{conn, delta, w});
-      } else if (changed) {
-        frontier_update(w, conn_[w] + after.conn - before.conn,
-                        cut_delta_[w] + after.cut_delta - before.cut_delta);
       }
     }
   }
@@ -139,13 +164,15 @@ LinearOrdering OrderingEngine::grow(CellId seed) {
   out.prefix_cut.reserve(z);
   out.prefix_pins.reserve(z);
 
+  touched_cells_.push_back(seed);
   absorb(seed);
   out.cells.push_back(seed);
   out.prefix_cut.push_back(cut_);
   out.prefix_pins.push_back(pins_in_group_);
 
-  while (out.cells.size() < z && !frontier_.empty()) {
-    const CellId u = frontier_.top().id;
+  while (out.cells.size() < z && !heap_.empty()) {
+    const CellId u = heap_.front().cell;
+    pop_top();
     absorb(u);
     out.cells.push_back(u);
     out.prefix_cut.push_back(cut_);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "util/indexed_dary_heap.hpp"
 
 namespace gtl {
 
@@ -54,6 +53,7 @@ struct LinearOrdering {
 /// any number of times (state is reset in O(touched) between runs).
 class OrderingEngine {
  public:
+  /// Requires cfg.max_length (Z) >= 1: every ordering holds its seed.
   explicit OrderingEngine(const Netlist& nl, OrderingConfig cfg = {});
 
   /// Grow an ordering from `seed`.  Fixed cells are never absorbed and
@@ -64,48 +64,68 @@ class OrderingEngine {
   [[nodiscard]] const OrderingConfig& config() const { return cfg_; }
 
  private:
-  struct FrontierKey {
-    double conn;
-    std::int32_t cut_delta;
-    CellId cell;
+  static constexpr std::uint32_t kUntouched = 0xFFFF'FFFDu;
+  static constexpr std::uint32_t kInGroup = 0xFFFF'FFFEu;
+  static constexpr std::uint32_t kFixed = 0xFFFF'FFFFu;
+
+  /// One 8-byte record per cell, so a pin visit loads one cache line.
+  /// `slot` is the cell's frontier heap slot or one of the sentinels
+  /// above.  `base_delta` is the cut delta the cell has while none of
+  /// its active nets holds a group pin: the number of its nets with
+  /// 2 <= |f| (and |f| < threshold when the threshold is on).
+  struct CellState {
+    std::uint32_t slot = kUntouched;
+    std::int32_t base_delta = 0;
   };
+
+  /// One 8-byte record per net: |e| and the number of its pins in the
+  /// group.
+  struct NetState {
+    std::uint32_t size = 0;
+    std::uint32_t k = 0;
+  };
+
+  /// A frontier cell's gains; the cell id is the final tie-break, so the
+  /// key order is total and the heap top is unique.
+  struct FrontierEntry {
+    double conn = 0.0;
+    std::int32_t cut_delta = 0;
+    CellId cell = kInvalidCell;
+  };
+
   /// Default: highest conn first, lowest cut delta breaks ties (paper
   /// I.7).  min_cut_first swaps the two criteria (ablation).
-  struct FrontierCompare {
-    bool min_cut_first = false;
-    bool operator()(const FrontierKey& a, const FrontierKey& b) const {
-      if (min_cut_first) {
-        if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-        if (a.conn != b.conn) return a.conn > b.conn;
-      } else {
-        if (a.conn != b.conn) return a.conn > b.conn;
-        if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-      }
-      return a.cell < b.cell;
+  [[nodiscard]] bool ranks_before(const FrontierEntry& a,
+                                  const FrontierEntry& b) const {
+    if (cfg_.min_cut_first) {
+      if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
+      if (a.conn != b.conn) return a.conn > b.conn;
+    } else {
+      if (a.conn != b.conn) return a.conn > b.conn;
+      if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
     }
-  };
+    return a.cell < b.cell;
+  }
 
   void reset();
   void absorb(CellId u);
-  void touch_cell(CellId c);
-  /// Re-key `c` in the frontier after its conn/cut_delta changed.
-  void frontier_update(CellId c, double new_conn, std::int32_t new_delta);
+
+  // Frontier: a 4-ary heap of entries whose slots live in cells_.
+  void place(std::uint32_t at, const FrontierEntry& e) {
+    heap_[at] = e;
+    cells_[e.cell].slot = at;
+  }
+  void sift_up(std::uint32_t at, FrontierEntry e);
+  void sift_down(std::uint32_t at, FrontierEntry e);
+  void pop_top();
 
   const Netlist* nl_;
   OrderingConfig cfg_;
 
-  // Per-cell state (allocated once, reset via touched list).
-  std::vector<double> conn_;
-  std::vector<std::int32_t> cut_delta_;
-  std::vector<std::uint8_t> state_;  // 0 untouched, 1 frontier, 2 in group
-  // Per-net state.
-  std::vector<std::uint32_t> pins_in_;
-
-  /// Frontier: position-indexed 4-ary heap, re-keyed in place (no
-  /// per-update allocation or tree rebalancing).  The key embeds the cell
-  /// id as the final tie-break, so top() is unique and orderings stay
-  /// byte-identical to the old std::set frontier.
-  IndexedDaryHeap<FrontierKey, FrontierCompare> frontier_;
+  // Reset via the touched lists between runs.
+  std::vector<CellState> cells_;
+  std::vector<NetState> nets_;
+  std::vector<FrontierEntry> heap_;
   std::vector<CellId> touched_cells_;
   std::vector<NetId> touched_nets_;
   std::int64_t cut_ = 0;

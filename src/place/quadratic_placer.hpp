@@ -1,6 +1,6 @@
 #pragma once
-// Global placement substrate (see DESIGN.md substitution table): a
-// FastPlace-flavored quadratic placer.
+// Global placement substrate for the congestion experiments (Fig. 1 and
+// Fig. 7): a FastPlace-flavored quadratic placer.
 //
 //   1. Net model: clique expansion with weight 1/(|e|-1) per pin pair for
 //      nets up to `max_clique_net` pins (larger nets carry no locality and

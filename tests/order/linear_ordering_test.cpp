@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "graphgen/planted_graph.hpp"
 #include "metrics/group_connectivity.hpp"
@@ -75,6 +77,15 @@ TEST(LinearOrdering, RespectsMaxLength) {
   OrderingEngine engine(nl, {.max_length = 5, .large_net_threshold = 0});
   const LinearOrdering ord = engine.grow(0);
   EXPECT_EQ(ord.cells.size(), 5u);
+}
+
+TEST(LinearOrdering, ZeroMaxLengthIsRejected) {
+  // Z = 0 cannot be honored (an ordering always holds its seed), so the
+  // engine refuses it up front; Z = 1 is the seed alone.
+  const Netlist nl = testing::make_grid3x3();
+  EXPECT_THROW((void)OrderingEngine(nl, {.max_length = 0}), std::logic_error);
+  OrderingEngine one(nl, {.max_length = 1, .large_net_threshold = 0});
+  EXPECT_EQ(one.grow(4).cells, std::vector<CellId>{4});
 }
 
 TEST(LinearOrdering, StopsAtDisconnectedComponent) {

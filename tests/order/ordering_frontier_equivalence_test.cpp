@@ -1,10 +1,11 @@
-// Equivalence suite for the indexed-heap frontier: grows orderings on
-// random planted graphs with the production OrderingEngine (position-
-// indexed 4-ary heap) and with a reference engine that keeps the frontier
-// in a std::set (the original implementation, reproduced verbatim below),
-// and asserts byte-identical LinearOrdering output — cells, prefix_cut
-// and prefix_pins — across graph seeds, growth seeds, large-net
-// thresholds and both tie-break modes.  Both frontier structures order
+// Equivalence suite for the ordering engine: grows orderings with the
+// production OrderingEngine (packed per-cell records, O(1) discovery of
+// new frontier cells, 4-ary heap) and with a reference engine that
+// computes every newly reached cell's gains from scratch and keeps the
+// frontier in a std::set (the original implementation, reproduced
+// verbatim below).  It asserts byte-identical LinearOrdering output —
+// cells, prefix_cut and prefix_pins — across netlists, growth seeds,
+// large-net thresholds and both tie-break modes.  Both engines order
 // keys by the same strict total order (conn desc, cut_delta asc, cell
 // asc), so any divergence is a bug in one of the two.
 
@@ -15,9 +16,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "graphgen/planted_graph.hpp"
+#include "graphgen/presets.hpp"
+#include "graphgen/synthetic_circuit.hpp"
 #include "metrics/group_connectivity.hpp"
 #include "util/rng.hpp"
 
@@ -45,8 +49,9 @@ NetContribution contribution(std::uint32_t net_size, std::uint32_t k,
   return out;
 }
 
-/// The pre-indexed-heap OrderingEngine: identical update logic, frontier
-/// kept in an ordered node-based std::set.
+/// The original OrderingEngine: a newly reached cell's gains are summed
+/// from scratch over all its nets, and the frontier is an ordered
+/// node-based std::set.
 class SetFrontierEngine {
  public:
   SetFrontierEngine(const Netlist& nl, OrderingConfig cfg)
@@ -192,6 +197,90 @@ void expect_identical(const LinearOrdering& heap_ord,
   EXPECT_EQ(heap_ord.prefix_pins, set_ord.prefix_pins);
 }
 
+/// A small ISPD-like circuit: Rent-rule background, planted structures
+/// and 128 fixed pads on the periphery.
+Netlist ispd_like_circuit() {
+  Rng rng(3);
+  return generate_synthetic_circuit(ispd_like_config("adaptec1", 0.01), rng)
+      .netlist;
+}
+
+/// Every special case of the gain bookkeeping in one netlist: 1-pin
+/// nets, fixed cells on shared nets, a 1-pin net on a fixed cell, a
+/// duplicated 2-pin net, and nets larger than the threshold (5, 24 and
+/// 30 pins, one with a pad) that switch on only once enough of their
+/// pins have been absorbed along the chain.
+Netlist quirky_netlist() {
+  NetlistBuilder nb;
+  for (int c = 0; c < 60; ++c) nb.add_cell();
+  for (int p = 0; p < 4; ++p) nb.add_cell("", 1, 1, /*fixed=*/true);
+  const auto cell = [](int c) { return static_cast<CellId>(c); };
+  for (int c = 0; c + 1 < 60; ++c) nb.add_net({cell(c), cell(c + 1)});
+  for (int c = 0; c + 2 < 60; c += 3) {
+    nb.add_net({cell(c), cell(c + 1), cell(c + 2)});
+  }
+  for (int c = 0; c < 60; c += 5) nb.add_net({cell(c)});
+  nb.add_net({cell(61)});
+  nb.add_net({cell(7), cell(8)});
+  for (int p = 0; p < 4; ++p) {
+    nb.add_net({cell(60 + p), cell(p * 15), cell(p * 15 + 1)});
+  }
+  nb.add_net({cell(60), cell(62), cell(30)});
+  nb.add_net({cell(0), cell(2), cell(4), cell(6), cell(8)});
+  std::vector<CellId> wide;
+  for (int c = 0; c < 48; c += 2) wide.push_back(cell(c));
+  nb.add_net(wide);
+  std::vector<CellId> with_pad = {cell(63)};
+  for (int c = 31; c < 60; ++c) with_pad.push_back(cell(c));
+  nb.add_net(with_pad);
+  return nb.build();
+}
+
+// Degenerate topologies after katana's TopologyGeneration (grid with
+// diagonals, Ferris wheel, clique): regular shapes full of exact ties,
+// which the planted generator never makes.
+
+Netlist clique(std::uint32_t n) {
+  NetlistBuilder nb;
+  for (std::uint32_t c = 0; c < n; ++c) nb.add_cell();
+  for (CellId i = 0; i < n; ++i) {
+    for (CellId j = i + 1; j < n; ++j) nb.add_net({i, j});
+  }
+  return nb.build();
+}
+
+/// n - 1 cells on a circle, each tied to its two neighbors and to the
+/// hub (cell n - 1).
+Netlist ferris_wheel(std::uint32_t n) {
+  NetlistBuilder nb;
+  for (std::uint32_t c = 0; c < n; ++c) nb.add_cell();
+  const CellId hub = n - 1;
+  for (CellId i = 0; i < hub; ++i) {
+    nb.add_net({i, (i + 1) % hub});
+    nb.add_net({i, hub});
+  }
+  return nb.build();
+}
+
+Netlist grid_with_diagonals(std::uint32_t width, std::uint32_t height) {
+  NetlistBuilder nb;
+  for (std::uint32_t c = 0; c < width * height; ++c) nb.add_cell();
+  const auto at = [width](std::uint32_t x, std::uint32_t y) {
+    return static_cast<CellId>(y * width + x);
+  };
+  for (std::uint32_t y = 0; y < height; ++y) {
+    for (std::uint32_t x = 0; x < width; ++x) {
+      if (x + 1 < width) nb.add_net({at(x, y), at(x + 1, y)});
+      if (y + 1 < height) nb.add_net({at(x, y), at(x, y + 1)});
+      if (x + 1 < width && y + 1 < height) {
+        nb.add_net({at(x, y), at(x + 1, y + 1)});
+        nb.add_net({at(x + 1, y), at(x, y + 1)});
+      }
+    }
+  }
+  return nb.build();
+}
+
 TEST(OrderingFrontierEquivalence, ByteIdenticalAcrossSeedsAndConfigs) {
   for (const std::uint64_t graph_seed : {1u, 7u, 42u}) {
     const PlantedGraph pg = make_graph(480, graph_seed);
@@ -215,11 +304,55 @@ TEST(OrderingFrontierEquivalence, ByteIdenticalAcrossSeedsAndConfigs) {
       }
     }
   }
+
+  // The inputs the O(1) discovery depends on.  The small netlists grow
+  // from every movable cell until the frontier empties; the ISPD-like
+  // circuit from every 97th cell and from the movable pins of its pads.
+  const Netlist ispd = ispd_like_circuit();
+  const Netlist small[] = {quirky_netlist(), clique(12), ferris_wheel(25),
+                           grid_with_diagonals(8, 8)};
+  std::vector<CellId> ispd_seeds;
+  for (CellId c = 0; c < ispd.num_cells(); ++c) {
+    if (ispd.is_fixed(c) && !ispd.nets_of(c).empty()) {
+      for (const CellId w : ispd.pins_of(ispd.nets_of(c)[0])) {
+        if (!ispd.is_fixed(w)) ispd_seeds.push_back(w);
+      }
+    } else if (c % 97 == 0) {
+      ispd_seeds.push_back(c);
+    }
+  }
+  std::vector<std::pair<const Netlist*, std::vector<CellId>>> inputs = {
+      {&ispd, ispd_seeds}};
+  for (const Netlist& nl : small) {
+    std::vector<CellId> seeds;
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      if (!nl.is_fixed(c)) seeds.push_back(c);
+    }
+    inputs.emplace_back(&nl, std::move(seeds));
+  }
+  for (const auto& [nl, seeds] : inputs) {
+    for (const std::uint32_t threshold : {0u, 3u, 20u}) {
+      for (const bool min_cut_first : {false, true}) {
+        const OrderingConfig cfg{.max_length = 240,
+                                 .large_net_threshold = threshold,
+                                 .min_cut_first = min_cut_first};
+        OrderingEngine engine(*nl, cfg);
+        SetFrontierEngine reference(*nl, cfg);
+        for (const CellId seed : seeds) {
+          SCOPED_TRACE(::testing::Message()
+                       << "cells=" << nl->num_cells() << " seed=" << seed
+                       << " threshold=" << threshold
+                       << " min_cut_first=" << min_cut_first);
+          expect_identical(engine.grow(seed), reference.grow(seed));
+        }
+      }
+    }
+  }
 }
 
 TEST(OrderingFrontierEquivalence, EngineReuseStaysIdentical) {
   // Reusing one engine across many grows must match fresh references:
-  // the O(touched) reset and the heap's clear() leave no residue.
+  // the O(touched) reset leaves no residue.
   const PlantedGraph pg = make_graph(300, 5);
   const OrderingConfig cfg{.max_length = 150, .large_net_threshold = 20};
   OrderingEngine engine(pg.netlist, cfg);
