@@ -1,7 +1,6 @@
 #include "finder/finder.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <unordered_map>
 
@@ -39,8 +38,6 @@ Status invalid_field(const char* field, const std::string& why) {
                                   " " + why);
 }
 
-bool finite(double x) { return std::isfinite(x); }
-
 }  // namespace
 
 Status FinderConfig::validate() const {
@@ -59,26 +56,6 @@ Status FinderConfig::validate() const {
   }
   if (score != ScoreKind::kNgtlS && score != ScoreKind::kGtlSd) {
     return invalid_field("score", "is not a known ScoreKind");
-  }
-  if (minimum.min_size < 2) {
-    return invalid_field("minimum.min_size", "must be >= 2");
-  }
-  if (!finite(minimum.accept_threshold) || minimum.accept_threshold <= 0.0) {
-    return invalid_field("minimum.accept_threshold",
-                         "must be finite and > 0");
-  }
-  if (!finite(minimum.drop_factor) || minimum.drop_factor < 1.0) {
-    return invalid_field("minimum.drop_factor", "must be finite and >= 1");
-  }
-  if (!finite(minimum.rise_factor) || minimum.rise_factor < 1.0) {
-    return invalid_field("minimum.rise_factor", "must be finite and >= 1");
-  }
-  if (!finite(minimum.edge_fraction) || minimum.edge_fraction < 0.0 ||
-      minimum.edge_fraction > 0.5) {
-    return invalid_field("minimum.edge_fraction", "must be in [0, 0.5]");
-  }
-  if (curve.rent_min_k < 2) {
-    return invalid_field("curve.rent_min_k", "must be >= 2");
   }
   if (refine_seeds > kMaxRefineSeeds) {
     return invalid_field("refine_seeds",
@@ -261,9 +238,9 @@ const CandidateSet& Finder::extract_candidates() {
     if (ordering.cells.size() < 2) return;
     // The curve lives in this worker's reusable scratch.
     const SelectedScoreCurve curve = compute_selected_curve(
-        *nl_, ordering, cfg_.curve, cfg_.score, scratch_[w].curve);
+        *nl_, ordering, CurveConfig{}, cfg_.score, scratch_[w].curve);
     rent_estimates[i] = curve.rent_exponent;
-    raw[i] = candidate_at_minimum(ordering, curve, cfg_.score, cfg_.minimum);
+    raw[i] = candidate_at_minimum(ordering, curve, cfg_.score, MinimumConfig{});
   });
   if (honor_token && cancel_requested()) cancelled_ = true;
 
@@ -281,26 +258,19 @@ const CandidateSet& Finder::extract_candidates() {
   // same refined outcome; pruning would discard the duplicates anyway).
   // Seed order makes a cancelled run's candidate list a prefix of the
   // full run's: membership here depends only on earlier entries.
-  std::vector<Candidate> initial;
+  std::unordered_map<std::uint64_t, std::size_t> seen;
   for (std::optional<Candidate>& c : raw) {
-    if (c) {
-      ++candidates_.extracted;
-      initial.push_back(std::move(*c));
+    if (!c) continue;
+    ++candidates_.extracted;
+    const std::uint64_t h = hash_members(c->cells);
+    const auto it = seen.find(h);
+    if (it != seen.end() &&
+        candidates_.candidates[it->second].cells == c->cells) {
+      continue;
     }
+    seen.emplace(h, candidates_.candidates.size());
+    candidates_.candidates.push_back(std::move(*c));
   }
-  if (cfg_.dedup_candidates) {
-    std::unordered_map<std::uint64_t, std::size_t> seen;
-    std::vector<Candidate> unique;
-    for (auto& c : initial) {
-      const std::uint64_t h = hash_members(c.cells);
-      const auto it = seen.find(h);
-      if (it != seen.end() && unique[it->second].cells == c.cells) continue;
-      seen.emplace(h, unique.size());
-      unique.push_back(std::move(c));
-    }
-    initial = std::move(unique);
-  }
-  candidates_.candidates = std::move(initial);
 
   candidates_.seconds = timer.seconds();
   stage_ = Stage::kExtracted;
@@ -335,7 +305,7 @@ const FinderResult& Finder::refine_and_prune() {
   {
     RefineConfig rcfg;
     rcfg.extra_seeds = cfg_.refine_seeds;
-    rcfg.min_size = cfg_.minimum.min_size;
+    rcfg.min_size = MinimumConfig{}.min_size;
     pool_.parallel_for(n, [&](std::size_t i, std::size_t w) {
       if (honor_token && cancel_requested()) return;
       if (cfg_.refine_seeds == 0) {
@@ -354,7 +324,7 @@ const FinderResult& Finder::refine_and_prune() {
         refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
                                       group_for(w), scratch_[w].arena,
                                       result_.context, cfg_.score, rcfg,
-                                      cfg_.minimum, cfg_.curve, rng);
+                                      MinimumConfig{}, CurveConfig{}, rng);
       }
       refine_done[i] = 1;
       notify_candidate_refined(n);

@@ -17,8 +17,7 @@
 //   * owns reusable per-worker scratch (ThreadPool, OrderingEngines,
 //     GroupConnectivity trackers), so repeated run() calls on the same
 //     netlist skip thread spawn and O(|V|) allocations — the win for
-//     repeated-query serving is measured in perf_microbench's
-//     BM_FinderReuse vs BM_FinderColdStart.
+//     repeated-query serving is perfbench's finder.cold_penalty_ms.
 //
 // Lifetimes: the session borrows the Netlist (and, if set, the observer
 // and cancel token); all must outlive the Finder.  A session is bound to
@@ -48,6 +47,8 @@
 
 namespace gtl {
 
+/// The settable parameters of a run.  The clear-minimum test and the
+/// Rent estimate always use the defaults of MinimumConfig and CurveConfig.
 struct FinderConfig {
   /// m: number of random starting seeds.
   std::size_t num_seeds = 100;
@@ -59,18 +60,12 @@ struct FinderConfig {
   bool min_cut_first = false;
   /// Φ used for selection and pruning (paper's final choice: GTL-SD).
   ScoreKind score = ScoreKind::kGtlSd;
-  MinimumConfig minimum;
-  CurveConfig curve;
   /// l: inner re-growths per candidate in Phase III; 0 skips refinement
   /// (ablation knob).
   std::size_t refine_seeds = 3;
   /// Worker threads; 0 = hardware concurrency.
   std::size_t num_threads = 0;
   std::uint64_t rng_seed = 1;
-  /// Deduplicate identical Phase II candidates before refinement (pure
-  /// speed optimization: duplicates refine to overlapping results that
-  /// pruning would discard anyway).
-  bool dedup_candidates = true;
 
   /// Check every field against its documented domain.  Returns OK or an
   /// invalid-argument Status naming the offending field — never throws,
@@ -123,8 +118,9 @@ struct OrderingSet {
 
 /// Phase II artifact: candidates extracted from the score curves.
 struct CandidateSet {
-  /// Candidates in seed order, deduplicated when the config asks for it;
-  /// exactly what Phase III will refine.
+  /// Candidates in seed order with identical member lists dropped (they
+  /// would refine to overlapping results that pruning discards); exactly
+  /// what Phase III will refine.
   std::vector<Candidate> candidates;
   /// Candidates extracted before deduplication.
   std::size_t extracted = 0;

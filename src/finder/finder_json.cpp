@@ -81,11 +81,6 @@ class ObjectReader {
     return read_with(key, [&](const JsonValue& v) { return v.get_bool(out); });
   }
 
-  [[nodiscard]] Status read_string(const char* key, std::string* out) {
-    return read_with(key,
-                     [&](const JsonValue& v) { return v.get_string(out); });
-  }
-
   /// Run `fn` on the member if present (absent keys keep defaults).
   template <typename Fn>
   [[nodiscard]] Status read_with(const char* key, Fn fn) {
@@ -185,18 +180,6 @@ Status candidate_from_json(const JsonValue& json, Candidate* out) {
 }  // namespace
 
 JsonValue to_json(const FinderConfig& cfg) {
-  JsonValue::Object minimum;
-  minimum.emplace("min_size",
-                  JsonValue(static_cast<std::uint64_t>(cfg.minimum.min_size)));
-  minimum.emplace("accept_threshold", JsonValue(cfg.minimum.accept_threshold));
-  minimum.emplace("drop_factor", JsonValue(cfg.minimum.drop_factor));
-  minimum.emplace("rise_factor", JsonValue(cfg.minimum.rise_factor));
-  minimum.emplace("edge_fraction", JsonValue(cfg.minimum.edge_fraction));
-
-  JsonValue::Object curve;
-  curve.emplace("rent_min_k",
-                JsonValue(static_cast<std::uint64_t>(cfg.curve.rent_min_k)));
-
   JsonValue::Object obj;
   obj.emplace("num_seeds",
               JsonValue(static_cast<std::uint64_t>(cfg.num_seeds)));
@@ -205,14 +188,11 @@ JsonValue to_json(const FinderConfig& cfg) {
   obj.emplace("large_net_threshold", JsonValue(cfg.large_net_threshold));
   obj.emplace("min_cut_first", JsonValue(cfg.min_cut_first));
   obj.emplace("score", JsonValue(score_kind_name(cfg.score)));
-  obj.emplace("minimum", JsonValue(std::move(minimum)));
-  obj.emplace("curve", JsonValue(std::move(curve)));
   obj.emplace("refine_seeds",
               JsonValue(static_cast<std::uint64_t>(cfg.refine_seeds)));
   obj.emplace("num_threads",
               JsonValue(static_cast<std::uint64_t>(cfg.num_threads)));
   obj.emplace("rng_seed", JsonValue(cfg.rng_seed));
-  obj.emplace("dedup_candidates", JsonValue(cfg.dedup_candidates));
   return JsonValue(std::move(obj));
 }
 
@@ -231,31 +211,9 @@ Status finder_config_from_json(const JsonValue& json, FinderConfig* out) {
     GTL_RETURN_IF_ERROR(v.get_string(&name));
     return score_kind_from_name(name, &cfg.score);
   }));
-  GTL_RETURN_IF_ERROR(
-      r.read_with("minimum", [&](const JsonValue& v) -> Status {
-        ObjectReader mr(v, "FinderConfig.minimum");
-        GTL_RETURN_IF_ERROR(mr.require_object());
-        GTL_RETURN_IF_ERROR(mr.read_size("min_size", &cfg.minimum.min_size));
-        GTL_RETURN_IF_ERROR(
-            mr.read_double("accept_threshold", &cfg.minimum.accept_threshold));
-        GTL_RETURN_IF_ERROR(
-            mr.read_double("drop_factor", &cfg.minimum.drop_factor));
-        GTL_RETURN_IF_ERROR(
-            mr.read_double("rise_factor", &cfg.minimum.rise_factor));
-        GTL_RETURN_IF_ERROR(
-            mr.read_double("edge_fraction", &cfg.minimum.edge_fraction));
-        return mr.check_no_unknown_keys();
-      }));
-  GTL_RETURN_IF_ERROR(r.read_with("curve", [&](const JsonValue& v) -> Status {
-    ObjectReader cr(v, "FinderConfig.curve");
-    GTL_RETURN_IF_ERROR(cr.require_object());
-    GTL_RETURN_IF_ERROR(cr.read_size("rent_min_k", &cfg.curve.rent_min_k));
-    return cr.check_no_unknown_keys();
-  }));
   GTL_RETURN_IF_ERROR(r.read_size("refine_seeds", &cfg.refine_seeds));
   GTL_RETURN_IF_ERROR(r.read_size("num_threads", &cfg.num_threads));
   GTL_RETURN_IF_ERROR(r.read_u64("rng_seed", &cfg.rng_seed));
-  GTL_RETURN_IF_ERROR(r.read_bool("dedup_candidates", &cfg.dedup_candidates));
   GTL_RETURN_IF_ERROR(r.check_no_unknown_keys());
   *out = cfg;
   return Status::ok();

@@ -7,10 +7,12 @@
 //   cell -> incident nets   and   net -> member cells (pins).
 // Offsets are 32-bit (the builder rejects netlists with >= 2^32-1 pins,
 // far beyond ISPD-class designs), fixed flags are a byte array, and net
-// sizes are cached in their own array — the Phase-I inner loops issue one
-// 32-bit load per size/fixed query instead of two 64-bit loads or a
-// vector<bool> bit probe, and the whole CSR is half the bytes, so twice
-// as much of the graph fits in cache.
+// sizes are cached in their own array — a size or fixed query is one
+// 32-bit load instead of two 64-bit loads or a vector<bool> bit probe,
+// and the whole CSR is half the bytes, so twice as much of the graph fits
+// in cache.  The hot reader of cached sizes is GroupConnectivity::add /
+// remove (Phase III scoring); the ordering engine copies sizes into its
+// own per-net records once per engine.
 // Pins are deduplicated per net (a hyperedge is a *set* of cells), so
 // cell_degree(c) == number of distinct nets touching c, and
 // num_pins() == sum over nets of net_size() == sum over cells of degree.

@@ -1,6 +1,9 @@
 #include "serve/client.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -20,6 +23,23 @@ Status result_block(const JsonValue& response, JsonValue* out) {
 }
 
 }  // namespace
+
+std::uint64_t Client::first_request_id() {
+  // Ids live below 2^53 in 2^29 blocks of 2^24: block n of this process
+  // is (origin + n) mod 2^29, so no two Clients of one process share a
+  // block until 2^29 of them have been made.
+  constexpr int kBlockBits = 24;
+  constexpr std::uint64_t kBlocks = std::uint64_t{1} << (53 - kBlockBits);
+  static const std::uint64_t origin = [] {
+    const auto now = static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+    return Rng(now ^ (static_cast<std::uint64_t>(::getpid()) << 32)).next();
+  }();
+  static std::atomic<std::uint64_t> clients{0};
+  const std::uint64_t block =
+      (origin + clients.fetch_add(1, std::memory_order_relaxed)) % kBlocks;
+  return (block << kBlockBits) + 1;
+}
 
 Status Client::connect(const std::filesystem::path& path, Client* out) {
   out->path_ = path;

@@ -1,13 +1,17 @@
 #pragma once
 // Synchronous client for a gtl_serve server: one call = one request
 // line, one response line.  NOT thread-safe and strictly one request in
-// flight — callers wanting concurrency open one Client per thread (as
-// bench/serve_load.py and the stress test do), which also keeps the
-// response-matching trivial: the next line on the stream answers the
-// last request, and the echoed id is verified anyway.  Because of the
+// flight — callers wanting concurrency open one Client per thread, which
+// also keeps the response-matching trivial: the next line on the stream
+// answers the last request, and the echoed id is verified anyway.  Because of the
 // one-owner contract the class carries no gtl::Mutex and sits outside
 // the capability layer (util/sync.hpp) on purpose — adding a lock here
 // would only hide misuse the contract forbids.
+//
+// The server keys in-flight runs by id across all connections, so
+// clients do not all count from 1: each Client starts at its own base
+// (see next_id()), distinct from every other Client in the process and
+// unlikely to repeat in another process.
 //
 // Every method maps a wire error onto the closest Status (see
 // protocol.hpp response_status): "overloaded" -> kUnavailable,
@@ -102,7 +106,8 @@ class Client {
   [[nodiscard]] Status stats(JsonValue* result);
 
   /// The id that will be stamped on the next request — what a concurrent
-  /// controller needs to cancel() a run issued by this client.
+  /// controller needs to cancel() a run issued by this client.  Ids stay
+  /// below 2^53, so every JSON reader holds them exactly.
   [[nodiscard]] std::uint64_t next_id() const { return next_id_; }
 
   /// Low-level escape hatch: send `fields` as the body of an `op`
@@ -118,10 +123,13 @@ class Client {
   [[nodiscard]] Status call_retrying(Op op, const JsonValue::Object& fields,
                                      JsonValue* response, bool idempotent,
                                      std::uint64_t budget_ms);
+  /// A fresh client's first id: its own block of 2^24 ids, at a
+  /// per-process offset drawn from the pid and the clock.
+  [[nodiscard]] static std::uint64_t first_request_id();
 
   UnixStream stream_;
   std::filesystem::path path_;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_id_ = first_request_id();
   RetryPolicy retry_;
   Rng rng_{retry_.seed};
 };

@@ -16,8 +16,11 @@ std::size_t design_resident_bytes(const BookshelfDesign& design) {
 }
 
 DesignRegistry::DesignRegistry(std::size_t max_resident_bytes,
-                               std::size_t hard_resident_bytes)
-    : max_bytes_(max_resident_bytes), hard_bytes_(hard_resident_bytes) {
+                               std::size_t hard_resident_bytes,
+                               std::size_t max_idle_sessions)
+    : max_bytes_(max_resident_bytes),
+      hard_bytes_(hard_resident_bytes),
+      max_idle_sessions_(max_idle_sessions) {
   GTL_REQUIRE(max_resident_bytes > 0, "residency cap must be positive");
   GTL_REQUIRE(hard_resident_bytes == 0 ||
                   hard_resident_bytes >= max_resident_bytes,
@@ -42,7 +45,7 @@ Status DesignRegistry::load(const std::string& name,
   // The parse/load runs outside the lock: a multi-second Bookshelf parse
   // must not block queries against already-loaded designs.  A racing
   // load of the same name is re-checked by insert() below.
-  auto entry = std::make_shared<Entry>();
+  auto entry = std::make_shared<DesignEntry>(max_idle_sessions_);
   entry->name = name;
   SnapshotCacheResult cache;
   const Status load_st = load_with_snapshot_cache(
@@ -91,7 +94,7 @@ Status DesignRegistry::insert(const std::string& name, BookshelfDesign design,
   if (name.empty()) {
     return Status::invalid_argument("design name must not be empty");
   }
-  auto entry = std::make_shared<Entry>();
+  auto entry = std::make_shared<DesignEntry>(max_idle_sessions_);
   entry->name = name;
   entry->design = std::move(design);
   entry->resident_bytes = design_resident_bytes(entry->design);
@@ -155,7 +158,7 @@ std::vector<DesignRegistry::DesignInfo> DesignRegistry::list() const {
   std::vector<DesignInfo> out;
   out.reserve(entries_.size());
   for (const std::string& name : lru_) {
-    const Entry& e = *entries_.at(name).entry;
+    const DesignEntry& e = *entries_.at(name).entry;
     DesignInfo info;
     info.name = e.name;
     info.cells = e.design.netlist.num_cells();

@@ -1,10 +1,12 @@
 #pragma once
 // Registry of immutable, shared netlists for the query server.
 //
-// Each entry is a ref-counted `shared_ptr<const Entry>`: lookups hand
-// out the pointer, so eviction/unload never invalidates a design that
-// in-flight queries (or pooled Finder sessions) still reference — the
-// memory is reclaimed when the last holder drops it.  Residency is
+// Each entry is a ref-counted `shared_ptr<const DesignEntry>`: lookups
+// hand out the pointer, so eviction/unload never invalidates a design
+// that in-flight queries (or their leased Finder sessions) still
+// reference — the memory is reclaimed when the last holder drops it.
+// Each entry owns the pool of warm sessions bound to its netlist, so
+// dropping the entry drops its parked sessions too.  Residency is
 // bounded by `max_resident_bytes` with LRU eviction: loading a design
 // that would push the total over the cap evicts least-recently-used
 // entries first.  A single design larger than the whole cap is still
@@ -28,34 +30,45 @@
 #include <vector>
 
 #include "netlist/bookshelf.hpp"
+#include "serve/session_pool.hpp"
 #include "util/status.hpp"
 #include "util/sync.hpp"
 
 namespace gtl::serve {
 
+/// One loaded design; immutable after registration except for its
+/// thread-safe session pool.  `source_aux` / `source_snapshot` record
+/// where DesignRegistry::load() read it from (both empty for insert()ed
+/// designs) — the key for idempotent reloads and the payload of the
+/// server's recovery manifest.
+struct DesignEntry {
+  explicit DesignEntry(std::size_t max_idle_sessions)
+      : sessions(max_idle_sessions) {}
+
+  std::string name;
+  BookshelfDesign design;
+  std::size_t resident_bytes = 0;
+  std::string source_aux;
+  std::string source_snapshot;
+  /// Warm sessions bound to `design.netlist`.  Declared last, so they are
+  /// destroyed before the netlist they borrow.
+  mutable SessionPool sessions;
+};
+
 class DesignRegistry {
  public:
-  /// One loaded design; immutable after registration.  `source_aux` /
-  /// `source_snapshot` record where load() read it from (both empty for
-  /// insert()ed designs) — the key for idempotent reloads and the
-  /// payload of the server's recovery manifest.
-  struct Entry {
-    std::string name;
-    BookshelfDesign design;
-    std::size_t resident_bytes = 0;
-    std::string source_aux;
-    std::string source_snapshot;
-  };
-  using EntryPtr = std::shared_ptr<const Entry>;
+  using EntryPtr = std::shared_ptr<const DesignEntry>;
 
   /// `max_resident_bytes` is the *soft* watermark: loading past it
   /// evicts LRU entries to make room (a single oversized design is
   /// still admitted — see above).  `hard_resident_bytes`, when nonzero,
   /// is the shed point: a design whose own footprint exceeds it is
   /// refused with kUnavailable instead of nuking the whole working set.
-  /// 0 keeps the pre-watermark behavior (admit anything).
+  /// 0 keeps the pre-watermark behavior (admit anything).  Each entry's
+  /// session pool keeps up to `max_idle_sessions` warm sessions.
   explicit DesignRegistry(std::size_t max_resident_bytes,
-                          std::size_t hard_resident_bytes = 0);
+                          std::size_t hard_resident_bytes = 0,
+                          std::size_t max_idle_sessions = 4);
 
   /// What a load did, for the response/metrics.
   struct LoadInfo {
@@ -111,10 +124,11 @@ class DesignRegistry {
   };
 
   mutable Mutex mu_;
-  // Watermarks are fixed at construction; only the guarded state below
-  // is shared.
+  // Watermarks and the pool size are fixed at construction; only the
+  // guarded state below is shared.
   const std::size_t max_bytes_;
   const std::size_t hard_bytes_;
+  const std::size_t max_idle_sessions_;
   std::size_t total_bytes_ GTL_GUARDED_BY(mu_) = 0;
   /// Front = most recently used.
   std::list<std::string> lru_ GTL_GUARDED_BY(mu_);

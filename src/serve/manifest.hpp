@@ -25,7 +25,7 @@
 //
 // Concurrency: the functions below are pure file I/O with no internal
 // locking.  The server's in-memory mirror (`Server::manifest_`) is
-// GTL_GUARDED_BY(manifest_mu_) (rank 5 in the lock order, see
+// GTL_GUARDED_BY(manifest_mu_) (rank 3 in the lock order, see
 // server.hpp), and the lock is held across the map update and the
 // write_manifest_atomic call so the file always serializes a consistent
 // state.

@@ -8,7 +8,7 @@
 // block with one mutex since every touch is O(1) and the finder run it
 // brackets is milliseconds at minimum.  That guard is a compile-time
 // contract: the owning field is `Server::metrics_` with
-// GTL_GUARDED_BY(metrics_mu_) (rank 6, the leaf of the lock order — see
+// GTL_GUARDED_BY(metrics_mu_) (rank 4, the leaf of the lock order — see
 // server.hpp), so under Clang any unlocked touch fails the build.
 
 #include <cstddef>

@@ -18,7 +18,8 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
-      registry_(cfg_.max_resident_bytes, cfg_.hard_resident_bytes) {
+      registry_(cfg_.max_resident_bytes, cfg_.hard_resident_bytes,
+                cfg_.max_idle_sessions) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.queue_capacity == 0) cfg_.queue_capacity = 1;
   workers_.reserve(cfg_.workers);
@@ -33,10 +34,6 @@ Server::~Server() { stop(); }
 Status Server::preload(const std::string& name, BookshelfDesign design) {
   DesignRegistry::LoadInfo info;
   GTL_RETURN_IF_ERROR(registry_.insert(name, std::move(design), &info));
-  {
-    MutexLock lk(pools_mu_);
-    for (const std::string& evicted : info.evicted) pools_.erase(evicted);
-  }
   (void)manifest_apply("", nullptr, info.evicted);
   MutexLock lk(metrics_mu_);
   ++metrics_.designs_loaded;
@@ -93,10 +90,6 @@ Status Server::recover_from_manifest(RecoveryReport* report) {
     if (!st.is_ok()) {
       report->notes.push_back("dropped \"" + name + "\": " + st.to_string());
       continue;
-    }
-    {
-      MutexLock lk(pools_mu_);
-      for (const std::string& evicted : info.evicted) pools_.erase(evicted);
     }
     for (const std::string& evicted : info.evicted) survivors.erase(evicted);
     survivors[name] = entry;
@@ -169,22 +162,23 @@ void Server::submit(std::string line, ResponseFn reply) {
   InFlightPtr inflight;
   if (req.op == Op::kRunFinder) {
     inflight = std::make_shared<InFlight>();
-    {
-      MutexLock lk(inflight_mu_);
-      if (!inflight_.emplace(req.id, inflight).second) {
-        MutexLock mlk(metrics_mu_);
-        ++metrics_.rejected_invalid;
-        reply(error_line(true, req.id, true, req.op,
-                         ErrorCode::kInvalidRequest,
-                         "a run_finder with this id is already in flight"));
-        return;
-      }
-    }
     const std::uint64_t deadline_ms =
         req.deadline_ms != 0 ? req.deadline_ms : cfg_.default_deadline_ms;
+    MutexLock lk(inflight_mu_);
+    if (!inflight_.emplace(req.id, inflight).second) {
+      lk.unlock();
+      {
+        MutexLock mlk(metrics_mu_);
+        ++metrics_.rejected_invalid;
+      }
+      reply(error_line(true, req.id, true, req.op, ErrorCode::kInvalidRequest,
+                       "a run_finder with this id is already in flight"));
+      return;
+    }
     if (deadline_ms != 0) {
-      arm_deadline(Clock::now() + std::chrono::milliseconds(deadline_ms),
-                   inflight);
+      deadlines_.push(DeadlineEntry{
+          Clock::now() + std::chrono::milliseconds(deadline_ms), inflight});
+      watchdog_cv_.notify_one();
     }
   }
 
@@ -320,8 +314,6 @@ void Server::execute_run(Job& job) {
     return;
   }
 
-  std::shared_ptr<SessionPool> pool = pool_for(entry);
-
   FinderConfig cfg = job.req.config;
   if (cfg_.max_threads_per_query > 0 &&
       (cfg.num_threads == 0 || cfg.num_threads > cfg_.max_threads_per_query)) {
@@ -330,7 +322,9 @@ void Server::execute_run(Job& job) {
 
   SessionLease lease;
   bool reused = false;
-  if (const Status st = pool->acquire(cfg, &lease, &reused); !st.is_ok()) {
+  if (const Status st =
+          SessionPool::acquire(std::move(entry), cfg, &lease, &reused);
+      !st.is_ok()) {
     finish_inflight(job.req.id);
     {
       MutexLock lk(metrics_mu_);
@@ -457,10 +451,6 @@ void Server::execute_load(Job& job) {
     return;
   }
   {
-    MutexLock lk(pools_mu_);
-    for (const std::string& evicted : info.evicted) pools_.erase(evicted);
-  }
-  {
     MutexLock lk(metrics_mu_);
     ++metrics_.designs_loaded;
     if (info.snapshot_hit) ++metrics_.snapshot_hits;
@@ -560,17 +550,7 @@ void Server::run_inline(const Request& req, const ResponseFn& reply) {
       return;
     }
     case Op::kUnloadDesign: {
-      std::shared_ptr<SessionPool> dropped;
-      {
-        MutexLock lk(pools_mu_);
-        const auto it = pools_.find(req.design);
-        if (it != pools_.end()) {
-          dropped = std::move(it->second);
-          pools_.erase(it);
-        }
-      }
-      const bool erased = registry_.erase(req.design);
-      if (!erased) {
+      if (!registry_.erase(req.design)) {
         reply(error_line(true, req.id, true, req.op, ErrorCode::kNotFound,
                          "design \"" + req.design + "\" is not loaded"));
         return;
@@ -633,33 +613,11 @@ JsonValue Server::status_json() {
   return JsonValue(std::move(obj));
 }
 
-std::shared_ptr<SessionPool> Server::pool_for(
-    const DesignRegistry::EntryPtr& entry) {
-  MutexLock lk(pools_mu_);
-  const auto it = pools_.find(entry->name);
-  // Pointer identity matters: a reloaded design must not reuse sessions
-  // bound to its previous incarnation's netlist.
-  if (it != pools_.end() && it->second->entry().get() == entry.get()) {
-    return it->second;
-  }
-  auto pool = SessionPool::create(entry, cfg_.max_idle_sessions);
-  pools_[entry->name] = pool;
-  return pool;
-}
-
 void Server::reply_error(const Job& job, ErrorCode code,
                          const std::string& msg,
                          std::uint64_t retry_after_ms) {
   job.reply(error_line(true, job.req.id, true, job.req.op, code, msg,
                        retry_after_ms));
-}
-
-void Server::arm_deadline(Clock::time_point when, const InFlightPtr& target) {
-  {
-    MutexLock lk(watchdog_mu_);
-    deadlines_.push(DeadlineEntry{when, target});
-  }
-  watchdog_cv_.notify_one();
 }
 
 void Server::finish_inflight(std::uint64_t id) {
@@ -668,26 +626,22 @@ void Server::finish_inflight(std::uint64_t id) {
 }
 
 void Server::watchdog_loop() {
-  MutexLock lk(watchdog_mu_);
-  for (;;) {
-    if (watchdog_stop_) return;
+  MutexLock lk(inflight_mu_);
+  while (!watchdog_stop_) {
     if (deadlines_.empty()) {
-      watchdog_cv_.wait(watchdog_mu_);
+      watchdog_cv_.wait(inflight_mu_);
       continue;
     }
     const Clock::time_point when = deadlines_.top().when;
-    if (when <= Clock::now()) {
-      std::weak_ptr<InFlight> target = deadlines_.top().target;
-      deadlines_.pop();
-      lk.unlock();
-      // Expired entries whose run already finished lock() to null.
-      if (const InFlightPtr inflight = target.lock()) {
-        inflight->cancel(InFlight::kDeadline);
-      }
-      lk.lock();
-    } else {
-      watchdog_cv_.wait_until(watchdog_mu_, when);
+    if (when > Clock::now()) {
+      watchdog_cv_.wait_until(inflight_mu_, when);
+      continue;
     }
+    // Expired entries whose run already finished lock() to null.
+    if (const InFlightPtr inflight = deadlines_.top().target.lock()) {
+      inflight->cancel(InFlight::kDeadline);
+    }
+    deadlines_.pop();
   }
 }
 
@@ -779,21 +733,20 @@ void Server::stop() {
     }
     queue_cv_.notify_all();
     {
+      // Every run the watchdog could trip is cancelled here, so it stops
+      // too.
       MutexLock lk(inflight_mu_);
       for (const auto& [id, inflight] : inflight_) {
         inflight->cancel(InFlight::kClient);
       }
+      watchdog_stop_ = true;
     }
+    watchdog_cv_.notify_all();
     for (Job& job : drained) {
       if (job.inflight != nullptr) finish_inflight(job.req.id);
       reply_error(job, ErrorCode::kCancelled, "server is shutting down");
     }
     for (std::thread& t : workers_) t.join();
-    {
-      MutexLock lk(watchdog_mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
     watchdog_.join();
   });
 }

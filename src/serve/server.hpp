@@ -9,10 +9,11 @@
 //   * Heavy ops (run_finder, load_design) pass admission control (a
 //     bounded FIFO; full -> "overloaded") and run on a fixed worker
 //     pool.  Each worker checks out an exclusive Finder session from the
-//     per-design pool, so concurrent queries never share session state.
-//   * A watchdog thread arms per-request deadlines: when one expires it
-//     trips the request's CancelToken, and the finder's cooperative
-//     cancellation unwinds at the next seed boundary.
+//     pool its design's registry entry owns, so concurrent queries never
+//     share session state.
+//   * A watchdog thread keeps the per-request deadlines: when one
+//     expires it trips the request's CancelToken, and the finder's
+//     cooperative cancellation unwinds at the next seed boundary.
 //
 // Determinism: the "result" block of every run_finder response is
 // byte-identical to a direct single-threaded Finder::run() with the same
@@ -26,19 +27,17 @@
 // Lock ordering (enforced by GTL_ACQUIRED_AFTER under Clang
 // -Wthread-safety-beta; see README "Code quality"):
 //
-//   rank 1  pools_mu_     — session-pool map
-//   rank 2  queue_mu_     — admission queue + stopping flag
-//   rank 3  inflight_mu_  — in-flight run table
-//   rank 4  watchdog_mu_  — deadline heap
-//   rank 5  manifest_mu_  — manifest mirror + file write
-//   rank 6  metrics_mu_   — counters/latency (leaf: nested by
-//                           manifest_apply and submit)
+//   rank 1  queue_mu_     — admission queue + stopping flag
+//   rank 2  inflight_mu_  — in-flight run table + deadline heap
+//   rank 3  manifest_mu_  — manifest mirror + file write
+//   rank 4  metrics_mu_   — counters/latency (leaf: nested by
+//                           manifest_apply and recover_from_manifest)
 //
 // A thread may only acquire a mutex of HIGHER rank than any it already
 // holds.  In practice almost every path holds a single lock at a time;
-// the two real nestings are manifest_mu_ -> metrics_mu_ (recording a
-// manifest write failure) and inflight_mu_ -> metrics_mu_ (stamping
-// queue-depth gauges while admitting a run).
+// the one real nesting is manifest_mu_ -> metrics_mu_ (recording a
+// manifest write failure).  Each design's SessionPool has its own
+// unranked lock, taken with no server lock held.
 
 #include <atomic>
 #include <chrono>
@@ -60,7 +59,6 @@
 #include "serve/manifest.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/session_pool.hpp"
 #include "util/socket.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
@@ -93,7 +91,7 @@ struct ServerConfig {
   /// Cap on FinderConfig::num_threads per query; 0 leaves configs alone.
   /// (num_threads never changes results, only machine load.)
   std::size_t max_threads_per_query = 0;
-  /// Warm Finder sessions kept per design.
+  /// Warm Finder sessions kept per design (each registry entry's pool).
   std::size_t max_idle_sessions = 4;
   /// Longest accepted request line; longer closes the connection.
   std::size_t max_line_bytes = std::size_t{1} << 20;
@@ -116,7 +114,7 @@ class Server {
   /// design records no sources (so it is neither manifested nor
   /// idempotently reloadable).
   [[nodiscard]] Status preload(const std::string& name, BookshelfDesign design)
-      GTL_EXCLUDES(pools_mu_, manifest_mu_, metrics_mu_);
+      GTL_EXCLUDES(manifest_mu_, metrics_mu_);
 
   /// What a manifest replay did.
   struct RecoveryReport {
@@ -132,20 +130,18 @@ class Server {
   /// a corrupt one is reported as an error and otherwise ignored — the
   /// next successful load overwrites it.  Call before serving traffic.
   [[nodiscard]] Status recover_from_manifest(RecoveryReport* report)
-      GTL_EXCLUDES(pools_mu_, manifest_mu_, metrics_mu_);
+      GTL_EXCLUDES(manifest_mu_, metrics_mu_);
 
   /// Feed one request line into the server.  Inline-lane entry point:
   /// must be called with NO server lock held — inline ops (cancel in
   /// particular) acquire locks of their own and must never wait behind
   /// the worker lane.
   void submit(std::string line, ResponseFn reply)
-      GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_, watchdog_mu_,
-                   manifest_mu_, metrics_mu_);
+      GTL_EXCLUDES(queue_mu_, inflight_mu_, manifest_mu_, metrics_mu_);
 
   /// Blocking convenience: submit and wait for the response line.
   [[nodiscard]] std::string handle_line(std::string_view line)
-      GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_, watchdog_mu_,
-                   manifest_mu_, metrics_mu_);
+      GTL_EXCLUDES(queue_mu_, inflight_mu_, manifest_mu_, metrics_mu_);
 
   /// Bind `cfg.socket_path` and serve connections until `stop_flag`
   /// becomes true (checked ~10x/second) or stop() is called.  Prints
@@ -161,7 +157,7 @@ class Server {
   /// Shut down: reject new work, cancel in-flight runs, drain the queue
   /// (each waiting job answered "cancelled"), join all threads.
   /// Idempotent; also called by the destructor.
-  void stop() GTL_EXCLUDES(queue_mu_, inflight_mu_, watchdog_mu_);
+  void stop() GTL_EXCLUDES(queue_mu_, inflight_mu_);
 
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
   [[nodiscard]] DesignRegistry& registry() { return registry_; }
@@ -174,7 +170,9 @@ class Server {
     CancelToken token;
     static constexpr int kNone = 0, kDeadline = 1, kClient = 2;
     std::atomic<int> reason{kNone};
-    /// Set the reason if unset and trip the token; true if we won.
+    /// Set the reason if unset and trip the token; true if we won.  One
+    /// compare-and-swap and one store, no lock: the watchdog and stop()
+    /// call it under inflight_mu_.
     bool cancel(int why) {
       int expected = kNone;
       const bool won = reason.compare_exchange_strong(expected, why);
@@ -202,31 +200,22 @@ class Server {
   /// Worker lane: drains the admission queue; acquires every lock rank
   /// in turn while executing, so it must start with none held.
   void worker_loop()
-      GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_, watchdog_mu_,
-                   manifest_mu_, metrics_mu_);
-  /// Watchdog lane: owns watchdog_mu_ while sleeping, but always drops
-  /// it before tripping a CancelToken — a token trip may race a worker
-  /// calling finish_inflight, and holding rank-4 there would deadlock
-  /// against nothing today but forbids the worker lane ever notifying
-  /// the watchdog under inflight_mu_ tomorrow.
-  void watchdog_loop() GTL_EXCLUDES(inflight_mu_, watchdog_mu_);
+      GTL_EXCLUDES(queue_mu_, inflight_mu_, manifest_mu_, metrics_mu_);
+  /// Watchdog lane: sleeps on inflight_mu_ until the earliest deadline
+  /// and trips expired runs' tokens without dropping it (a trip takes
+  /// no lock).
+  void watchdog_loop() GTL_EXCLUDES(inflight_mu_);
   void execute(Job job)
-      GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_, watchdog_mu_,
-                   manifest_mu_, metrics_mu_);
-  void execute_run(Job& job)
-      GTL_EXCLUDES(pools_mu_, inflight_mu_, watchdog_mu_, metrics_mu_);
-  void execute_load(Job& job)
-      GTL_EXCLUDES(pools_mu_, manifest_mu_, metrics_mu_);
+      GTL_EXCLUDES(queue_mu_, inflight_mu_, manifest_mu_, metrics_mu_);
+  void execute_run(Job& job) GTL_EXCLUDES(inflight_mu_, metrics_mu_);
+  void execute_load(Job& job) GTL_EXCLUDES(manifest_mu_, metrics_mu_);
   /// Inline lane: status/stats/cancel/unload on the calling thread.
   /// `cancel` must never wait behind the worker queue, so the inline
   /// lane as a whole is contracted lock-free on entry.
   void run_inline(const Request& req, const ResponseFn& reply)
-      GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_, manifest_mu_,
-                   metrics_mu_);
-  JsonValue status_json() GTL_EXCLUDES(pools_mu_, queue_mu_, inflight_mu_);
+      GTL_EXCLUDES(queue_mu_, inflight_mu_, manifest_mu_, metrics_mu_);
+  JsonValue status_json() GTL_EXCLUDES(queue_mu_, inflight_mu_);
 
-  std::shared_ptr<SessionPool> pool_for(const DesignRegistry::EntryPtr& e)
-      GTL_EXCLUDES(pools_mu_);
   void reply_error(const Job& job, ErrorCode code, const std::string& msg,
                    std::uint64_t retry_after_ms = 0);
   /// Record (`record` non-null) and/or forget manifest entries, then
@@ -237,8 +226,6 @@ class Server {
                                       const ManifestEntry* record,
                                       const std::vector<std::string>& forget)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
-  void arm_deadline(std::chrono::steady_clock::time_point when,
-                    const InFlightPtr& target) GTL_EXCLUDES(watchdog_mu_);
   void finish_inflight(std::uint64_t id) GTL_EXCLUDES(inflight_mu_);
 
   ServerConfig cfg_;
@@ -246,43 +233,36 @@ class Server {
   Timer uptime_;
 
   // --- rank 1 -------------------------------------------------------------
-  Mutex pools_mu_;
-  std::unordered_map<std::string, std::shared_ptr<SessionPool>> pools_
-      GTL_GUARDED_BY(pools_mu_);
-
-  // --- rank 2 -------------------------------------------------------------
-  Mutex queue_mu_ GTL_ACQUIRED_AFTER(pools_mu_);
+  Mutex queue_mu_;
   CondVar queue_cv_;
   std::deque<Job> queue_ GTL_GUARDED_BY(queue_mu_);
   bool stopping_ GTL_GUARDED_BY(queue_mu_) = false;
   /// Spawned in the constructor, joined by stop(); not itself guarded.
   std::vector<std::thread> workers_;
 
-  // --- rank 3 -------------------------------------------------------------
-  Mutex inflight_mu_ GTL_ACQUIRED_AFTER(pools_mu_, queue_mu_);
+  // --- rank 2 -------------------------------------------------------------
+  /// Also guards the deadline heap, a second index over the same runs:
+  /// submit registers a run and its deadline in one critical section.
+  Mutex inflight_mu_ GTL_ACQUIRED_AFTER(queue_mu_);
   std::unordered_map<std::uint64_t, InFlightPtr> inflight_
       GTL_GUARDED_BY(inflight_mu_);
-
-  // --- rank 4 -------------------------------------------------------------
-  Mutex watchdog_mu_ GTL_ACQUIRED_AFTER(pools_mu_, queue_mu_, inflight_mu_);
   CondVar watchdog_cv_;
   std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
                       std::greater<DeadlineEntry>>
-      deadlines_ GTL_GUARDED_BY(watchdog_mu_);
-  bool watchdog_stop_ GTL_GUARDED_BY(watchdog_mu_) = false;
+      deadlines_ GTL_GUARDED_BY(inflight_mu_);
+  bool watchdog_stop_ GTL_GUARDED_BY(inflight_mu_) = false;
   std::thread watchdog_;
 
-  // --- rank 5 -------------------------------------------------------------
+  // --- rank 3 -------------------------------------------------------------
   /// In-memory mirror of the manifest file; the lock is held across the
   /// map update *and* the file write so the file always serializes a
   /// consistent state.
-  Mutex manifest_mu_
-      GTL_ACQUIRED_AFTER(pools_mu_, queue_mu_, inflight_mu_, watchdog_mu_);
+  Mutex manifest_mu_ GTL_ACQUIRED_AFTER(queue_mu_, inflight_mu_);
   Manifest manifest_ GTL_GUARDED_BY(manifest_mu_);
 
-  // --- rank 6 (leaf) ------------------------------------------------------
-  Mutex metrics_mu_ GTL_ACQUIRED_AFTER(pools_mu_, queue_mu_, inflight_mu_,
-                                       watchdog_mu_, manifest_mu_);
+  // --- rank 4 (leaf) ------------------------------------------------------
+  Mutex metrics_mu_
+      GTL_ACQUIRED_AFTER(queue_mu_, inflight_mu_, manifest_mu_);
   ServerMetrics metrics_ GTL_GUARDED_BY(metrics_mu_);
 
   std::once_flag stop_once_;

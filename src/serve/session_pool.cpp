@@ -1,6 +1,7 @@
 #include "serve/session_pool.hpp"
 
 #include "finder/finder_json.hpp"
+#include "serve/design_registry.hpp"
 
 namespace gtl::serve {
 
@@ -11,7 +12,7 @@ std::string config_fingerprint(const FinderConfig& cfg) {
 SessionLease& SessionLease::operator=(SessionLease&& other) noexcept {
   if (this != &other) {
     release();
-    pool_ = std::move(other.pool_);
+    entry_ = std::move(other.entry_);
     finder_ = std::move(other.finder_);
     fingerprint_ = std::move(other.fingerprint_);
   }
@@ -19,56 +20,41 @@ SessionLease& SessionLease::operator=(SessionLease&& other) noexcept {
 }
 
 void SessionLease::release() {
-  if (finder_ == nullptr) {
-    pool_.reset();
-    return;
+  if (finder_ != nullptr) {
+    finder_->set_observer(nullptr);
+    finder_->set_cancel_token(nullptr);
+    entry_->sessions.put_back(std::move(finder_), std::move(fingerprint_));
   }
-  finder_->set_observer(nullptr);
-  finder_->set_cancel_token(nullptr);
-  pool_->put_back(std::move(finder_), std::move(fingerprint_));
-  pool_.reset();
+  entry_.reset();
 }
 
-std::shared_ptr<SessionPool> SessionPool::create(
-    DesignRegistry::EntryPtr entry, std::size_t max_idle) {
-  return std::shared_ptr<SessionPool>(
-      new SessionPool(std::move(entry), max_idle));
-}
-
-Status SessionPool::acquire(const FinderConfig& cfg, SessionLease* out,
+Status SessionPool::acquire(std::shared_ptr<const DesignEntry> entry,
+                            const FinderConfig& cfg, SessionLease* out,
                             bool* reused) {
-  *reused = false;
   std::string fp = config_fingerprint(cfg);
-  {
-    MutexLock lk(mu_);
-    const auto it = idle_.find(fp);
-    if (it != idle_.end()) {
-      std::unique_ptr<Finder> finder = std::move(it->second);
-      idle_.erase(it);
-      --idle_total_;
-      *reused = true;
-      *out = SessionLease(shared_from_this(), std::move(finder),
-                          std::move(fp));
-      return Status::ok();
-    }
+  std::unique_ptr<Finder> finder = entry->sessions.take(fp);
+  *reused = finder != nullptr;
+  if (finder == nullptr) {
+    GTL_RETURN_IF_ERROR(Finder::create(entry->design.netlist, cfg, &finder));
   }
-  std::unique_ptr<Finder> finder;
-  GTL_RETURN_IF_ERROR(Finder::create(entry_->design.netlist, cfg, &finder));
-  *out = SessionLease(shared_from_this(), std::move(finder), std::move(fp));
+  *out = SessionLease(std::move(entry), std::move(finder), std::move(fp));
   return Status::ok();
 }
 
-std::size_t SessionPool::idle_count() const {
+std::unique_ptr<Finder> SessionPool::take(const std::string& fingerprint) {
   MutexLock lk(mu_);
-  return idle_total_;
+  const auto it = idle_.find(fingerprint);
+  if (it == idle_.end()) return nullptr;
+  std::unique_ptr<Finder> finder = std::move(it->second);
+  idle_.erase(it);
+  return finder;
 }
 
 void SessionPool::put_back(std::unique_ptr<Finder> finder,
                            std::string fingerprint) {
   MutexLock lk(mu_);
-  if (idle_total_ >= max_idle_) return;  // destroys the session
+  if (idle_.size() >= max_idle_) return;  // destroys the session
   idle_.emplace(std::move(fingerprint), std::move(finder));
-  ++idle_total_;
 }
 
 }  // namespace gtl::serve

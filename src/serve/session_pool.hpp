@@ -2,36 +2,35 @@
 // Pool of reusable Finder sessions for one loaded design.
 //
 // A Finder session owns sizable workspace (ordering buffers, refine
-// scratch, candidate pools) that PR 3/4 made reusable across runs; the
-// pool keeps finished sessions warm so repeated queries against the same
-// design skip the allocation storm.  Sessions are keyed by a config
-// fingerprint (the key-sorted JSON dump of the FinderConfig): a session
-// can only be reused for the exact config it was built with, because
-// Finder validates and binds its config at construction.
+// scratch, candidate pools) that is reusable across runs; the pool keeps
+// finished sessions warm so repeated queries against the same design
+// skip the allocation storm.  Sessions are keyed by a config fingerprint
+// (the key-sorted JSON dump of the FinderConfig): a session can only be
+// reused for the exact config it was built with, because Finder
+// validates and binds its config at construction.
 //
-// Lifetime: the pool holds the registry EntryPtr, and every Lease holds
-// a shared_ptr to the pool — so a design evicted or unloaded mid-query
-// stays alive until the last lease and the pool itself drop.  A Finder
-// session is NOT thread-safe; a Lease hands exclusive ownership to one
-// serving thread and returns the session on destruction (up to
+// Ownership: each registry entry (design_registry.hpp) owns the pool of
+// its netlist, and every Lease holds the entry — so a design evicted or
+// unloaded mid-query stays alive, with its pool and parked sessions,
+// until the last lease drops.  A reloaded name is a new entry with an
+// empty pool, so it never leases a session bound to the old netlist.  A
+// Finder session is NOT thread-safe; a Lease hands exclusive ownership
+// to one serving thread and returns the session on destruction (up to
 // `max_idle` kept, the rest destroyed).
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "finder/finder.hpp"
-#include "serve/design_registry.hpp"
 #include "util/status.hpp"
 #include "util/sync.hpp"
 
 namespace gtl::serve {
 
-class SessionPool;
+struct DesignEntry;
 
 /// Exclusive ownership of one Finder session, returned to its pool on
 /// destruction.  Movable, not copyable.  A default-constructed lease is
@@ -55,54 +54,45 @@ class SessionLease {
 
  private:
   friend class SessionPool;
-  SessionLease(std::shared_ptr<SessionPool> pool, std::unique_ptr<Finder> f,
-               std::string fingerprint)
-      : pool_(std::move(pool)),
+  SessionLease(std::shared_ptr<const DesignEntry> entry,
+               std::unique_ptr<Finder> f, std::string fingerprint)
+      : entry_(std::move(entry)),
         finder_(std::move(f)),
         fingerprint_(std::move(fingerprint)) {}
 
-  std::shared_ptr<SessionPool> pool_;
+  /// Keeps the netlist, the pool and its parked sessions alive.
+  std::shared_ptr<const DesignEntry> entry_;
   std::unique_ptr<Finder> finder_;
   std::string fingerprint_;
 };
 
-class SessionPool : public std::enable_shared_from_this<SessionPool> {
+class SessionPool {
  public:
-  /// `entry` is the registry entry the sessions bind to; the pool keeps
-  /// it alive.  `max_idle` bounds warm sessions kept across all configs.
-  static std::shared_ptr<SessionPool> create(DesignRegistry::EntryPtr entry,
-                                             std::size_t max_idle = 4);
+  /// `max_idle` bounds warm sessions kept across all configs.
+  explicit SessionPool(std::size_t max_idle) : max_idle_(max_idle) {}
 
-  /// Check out a session for `cfg`: a warm one when the fingerprint
-  /// matches (*reused = true), else a freshly constructed one.  Fails
-  /// (kInvalidArgument) when the config does not validate — the
-  /// service rejection path; nothing is constructed on failure.
-  [[nodiscard]] Status acquire(const FinderConfig& cfg, SessionLease* out,
-                               bool* reused) GTL_EXCLUDES(mu_);
-
-  [[nodiscard]] const DesignRegistry::EntryPtr& entry() const {
-    return entry_;
-  }
-
-  /// Warm sessions currently parked (for status/tests).
-  [[nodiscard]] std::size_t idle_count() const GTL_EXCLUDES(mu_);
+  /// Check out a session of `entry`'s pool for `cfg`: a warm one when
+  /// the fingerprint matches (*reused = true), else a freshly
+  /// constructed one bound to `entry`'s netlist.  Fails
+  /// (kInvalidArgument) when the config does not validate — the service
+  /// rejection path; nothing is constructed on failure.
+  [[nodiscard]] static Status acquire(std::shared_ptr<const DesignEntry> entry,
+                                      const FinderConfig& cfg,
+                                      SessionLease* out, bool* reused);
 
  private:
   friend class SessionLease;
-  SessionPool(DesignRegistry::EntryPtr entry, std::size_t max_idle)
-      : entry_(std::move(entry)), max_idle_(max_idle) {}
 
+  /// Unpark a session built for `fingerprint`, or null.
+  std::unique_ptr<Finder> take(const std::string& fingerprint)
+      GTL_EXCLUDES(mu_);
   void put_back(std::unique_ptr<Finder> finder, std::string fingerprint)
       GTL_EXCLUDES(mu_);
 
-  // entry_ and max_idle_ are fixed at construction; only the parked
-  // sessions are shared between serving threads.
-  DesignRegistry::EntryPtr entry_;
   const std::size_t max_idle_;
-  mutable Mutex mu_;
+  Mutex mu_;
   /// fingerprint -> parked sessions for that exact config.
   std::multimap<std::string, std::unique_ptr<Finder>> idle_ GTL_GUARDED_BY(mu_);
-  std::size_t idle_total_ GTL_GUARDED_BY(mu_) = 0;
 };
 
 /// The pooling key: key-sorted compact JSON of the config, so two

@@ -132,8 +132,7 @@ class GTL_CAPABILITY("mutex") Mutex {
 
 // ---------------------------------------------------------------------------
 // MutexLock — scoped acquisition with mid-scope unlock()/lock() support
-// (the watchdog drops its lock around cancel-token trips, and admission
-// paths release early before replying).  The analysis tracks the
+// (admission paths release early before replying).  The analysis tracks the
 // managed capability through unlock()/lock(), so the destructor only
 // releases when the lock is still held.
 // ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <ostream>
 #include <string>
 
@@ -117,34 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
                       [](FinderConfig& c) {
                         c.score = static_cast<ScoreKind>(7);
                       }},
-        RejectionCase{"minimum.min_size", "1",
-                      [](FinderConfig& c) { c.minimum.min_size = 1; }},
-        RejectionCase{"minimum.accept_threshold", "0",
-                      [](FinderConfig& c) {
-                        c.minimum.accept_threshold = 0.0;
-                      }},
-        RejectionCase{"minimum.accept_threshold", "nan",
-                      [](FinderConfig& c) {
-                        c.minimum.accept_threshold =
-                            std::numeric_limits<double>::quiet_NaN();
-                      }},
-        RejectionCase{"minimum.drop_factor", "0.5",
-                      [](FinderConfig& c) { c.minimum.drop_factor = 0.5; }},
-        RejectionCase{"minimum.drop_factor", "inf",
-                      [](FinderConfig& c) {
-                        c.minimum.drop_factor =
-                            std::numeric_limits<double>::infinity();
-                      }},
-        RejectionCase{"minimum.rise_factor", "0.99",
-                      [](FinderConfig& c) { c.minimum.rise_factor = 0.99; }},
-        RejectionCase{"minimum.edge_fraction", "-0.01",
-                      [](FinderConfig& c) {
-                        c.minimum.edge_fraction = -0.01;
-                      }},
-        RejectionCase{"minimum.edge_fraction", "0.6",
-                      [](FinderConfig& c) { c.minimum.edge_fraction = 0.6; }},
-        RejectionCase{"curve.rent_min_k", "1",
-                      [](FinderConfig& c) { c.curve.rent_min_k = 1; }},
         RejectionCase{"refine_seeds", "65",
                       [](FinderConfig& c) { c.refine_seeds = 65; }},
         RejectionCase{"num_threads", "4097",
@@ -159,16 +129,9 @@ FinderConfig non_default_config() {
   cfg.large_net_threshold = 0;
   cfg.min_cut_first = true;
   cfg.score = ScoreKind::kNgtlS;
-  cfg.minimum.min_size = 17;
-  cfg.minimum.accept_threshold = 0.5;
-  cfg.minimum.drop_factor = 2.25;
-  cfg.minimum.rise_factor = 1.125;
-  cfg.minimum.edge_fraction = 0.07;
-  cfg.curve.rent_min_k = 12;
   cfg.refine_seeds = 5;
   cfg.num_threads = 3;
   cfg.rng_seed = 0xDEADBEEFDEADBEEFULL;  // > int64 max: uint64 must survive
-  cfg.dedup_candidates = false;
   return cfg;
 }
 
@@ -178,16 +141,9 @@ void expect_config_eq(const FinderConfig& a, const FinderConfig& b) {
   EXPECT_EQ(a.large_net_threshold, b.large_net_threshold);
   EXPECT_EQ(a.min_cut_first, b.min_cut_first);
   EXPECT_EQ(a.score, b.score);
-  EXPECT_EQ(a.minimum.min_size, b.minimum.min_size);
-  EXPECT_EQ(a.minimum.accept_threshold, b.minimum.accept_threshold);
-  EXPECT_EQ(a.minimum.drop_factor, b.minimum.drop_factor);
-  EXPECT_EQ(a.minimum.rise_factor, b.minimum.rise_factor);
-  EXPECT_EQ(a.minimum.edge_fraction, b.minimum.edge_fraction);
-  EXPECT_EQ(a.curve.rent_min_k, b.curve.rent_min_k);
   EXPECT_EQ(a.refine_seeds, b.refine_seeds);
   EXPECT_EQ(a.num_threads, b.num_threads);
   EXPECT_EQ(a.rng_seed, b.rng_seed);
-  EXPECT_EQ(a.dedup_candidates, b.dedup_candidates);
 }
 
 TEST(FinderConfigJson, RoundTripsDefaults) {
@@ -223,8 +179,9 @@ TEST(FinderConfigJson, PartialConfigKeepsDefaults) {
 }
 
 TEST(FinderConfigJson, RejectsUnknownKey) {
-  // A typo, and a key that was removed: configs that still send the old
-  // scheduling knob are rejected like any other unknown key.
+  // A typo, and keys that were removed: configs that still send the old
+  // scheduling knob, clear-minimum thresholds, Rent floor or dedup switch
+  // are rejected like any other unknown key.
   struct Case {
     const char* text;
     const char* key;  // must appear in the error message
@@ -233,7 +190,10 @@ TEST(FinderConfigJson, RejectsUnknownKey) {
        {Case{R"({"num_seedz": 7})", "num_seedz"},
         Case{R"({"dynamic_scheduling": true})", "dynamic_scheduling"},
         Case{R"({"num_seeds": 7, "dynamic_scheduling": false})",
-             "dynamic_scheduling"}}) {
+             "dynamic_scheduling"},
+        Case{R"({"minimum": {"min_size": 30}})", "minimum"},
+        Case{R"({"curve": {"rent_min_k": 10}})", "curve"},
+        Case{R"({"dedup_candidates": true})", "dedup_candidates"}}) {
     FinderConfig cfg;
     const Status st = parse_finder_config(c.text, &cfg);
     ASSERT_FALSE(st.is_ok()) << c.text;
@@ -243,11 +203,12 @@ TEST(FinderConfigJson, RejectsUnknownKey) {
 }
 
 TEST(FinderConfigJson, RejectsUnknownNestedKey) {
-  FinderConfig cfg;
+  // Configs have no nested objects left; a result's context does.
+  FinderResult result;
   const Status st =
-      parse_finder_config(R"({"minimum": {"min_sz": 10}})", &cfg);
+      parse_finder_result(R"({"context": {"rent_exp": 1}})", &result);
   ASSERT_FALSE(st.is_ok());
-  EXPECT_NE(st.message().find("min_sz"), std::string::npos);
+  EXPECT_NE(st.message().find("rent_exp"), std::string::npos);
 }
 
 TEST(FinderConfigJson, RejectsBadScoreName) {

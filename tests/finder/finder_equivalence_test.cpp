@@ -64,9 +64,6 @@ TEST(FinderEquivalence, FreshSessionsAgreeAcrossConfigs) {
     FinderConfig no_refine = configs[0];
     no_refine.refine_seeds = 0;
     configs.push_back(no_refine);
-    FinderConfig no_dedup = configs[0];
-    no_dedup.dedup_candidates = false;
-    configs.push_back(no_dedup);
   }
 
   for (std::size_t i = 0; i < configs.size(); ++i) {

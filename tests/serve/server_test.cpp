@@ -25,11 +25,11 @@
 namespace gtl::serve {
 namespace {
 
-BookshelfDesign planted_design() {
+BookshelfDesign planted_design(std::uint64_t seed = 11) {
   PlantedGraphConfig cfg;
   cfg.num_cells = 3000;
   cfg.gtls.push_back({200, 1});
-  Rng rng(11);
+  Rng rng(seed);
   BookshelfDesign design;
   design.netlist = generate_planted_graph(cfg, rng).netlist;
   return design;
@@ -59,12 +59,31 @@ JsonValue parse(const std::string& line) {
   return json;
 }
 
-std::string error_code_of(const JsonValue& response) {
+std::string error_field(const JsonValue& response, const char* field) {
   const JsonValue* error = response.find("error");
   if (error == nullptr) return "";
-  std::string code;
-  EXPECT_TRUE(error->find("code")->get_string(&code).is_ok());
-  return code;
+  std::string value;
+  EXPECT_TRUE(error->find(field)->get_string(&value).is_ok());
+  return value;
+}
+
+std::string error_code_of(const JsonValue& response) {
+  return error_field(response, "code");
+}
+
+/// stats.designs.<design>.<counter>
+std::uint64_t design_counter(Server& server, const char* design,
+                             const char* counter) {
+  const JsonValue stats =
+      parse(server.handle_line(R"({"id":900,"op":"stats"})"));
+  std::uint64_t value = 0;
+  EXPECT_TRUE(stats.find("result")
+                  ->find("designs")
+                  ->find(design)
+                  ->find(counter)
+                  ->get_uint64(&value)
+                  .is_ok());
+  return value;
 }
 
 std::string run_line(std::uint64_t id, const std::string& design,
@@ -178,6 +197,37 @@ TEST(Server, RunFinderMatchesDirectRunByteForByte) {
   EXPECT_EQ(reused, 1u);
 }
 
+TEST(Server, ReloadedDesignNeverReusesOldSessions) {
+  const FinderConfig cfg = quick_config();
+  const BookshelfDesign x = planted_design(11);
+  const BookshelfDesign y = planted_design(12);
+  const std::string on_x = deterministic_result_json(
+      Finder(x.netlist, cfg).run()).dump();
+  const std::string on_y = deterministic_result_json(
+      Finder(y.netlist, cfg).run()).dump();
+  ASSERT_NE(on_x, on_y);
+
+  ServerConfig scfg;
+  Server server(scfg);
+  ASSERT_TRUE(server.preload("d", planted_design(11)).is_ok());
+  const JsonValue first = parse(server.handle_line(run_line(1, "d", cfg)));
+  ASSERT_TRUE(response_status(first).is_ok());
+  EXPECT_EQ(first.find("result")->dump(), on_x);
+
+  // Same name, different design: the warm session bound to X's netlist
+  // must not answer for Y.
+  ASSERT_TRUE(response_status(parse(server.handle_line(
+                  R"({"id":2,"op":"unload_design","design":"d"})")))
+                  .is_ok());
+  ASSERT_TRUE(server.preload("d", planted_design(12)).is_ok());
+  const JsonValue second = parse(server.handle_line(run_line(3, "d", cfg)));
+  ASSERT_TRUE(response_status(second).is_ok());
+  EXPECT_EQ(second.find("result")->dump(), on_y);
+
+  EXPECT_EQ(design_counter(server, "d", "sessions_created"), 2u);
+  EXPECT_EQ(design_counter(server, "d", "sessions_reused"), 0u);
+}
+
 TEST(Server, UnknownDesignIsNotFound) {
   ServerConfig cfg;
   Server server(cfg);
@@ -250,6 +300,29 @@ TEST(Server, DeadlineExpiresMidRun) {
   const JsonValue response =
       parse(server.handle_line(run_line(1, "d", slow_config(), 5)));
   EXPECT_EQ(error_code_of(response), "deadline_exceeded");
+}
+
+TEST(Server, DeadlineExpiresWhileQueued) {
+  ServerConfig cfg;
+  cfg.workers = 1;
+  Server server(cfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+
+  // #1 (no deadline) holds the only worker; #2 waits behind it past its
+  // 1 ms deadline, then #1 is cancelled to free the worker.
+  Capture running, queued;
+  server.submit(run_line(1, "d", slow_config()), running.sink());
+  server.submit(run_line(2, "d", quick_config(), 1), queued.sink());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  (void)server.handle_line(R"({"id":3,"op":"cancel","target_id":1})");
+  EXPECT_EQ(error_code_of(parse(running.wait())), "cancelled");
+
+  const JsonValue expired = parse(queued.wait());
+  EXPECT_EQ(error_code_of(expired), "deadline_exceeded");
+  EXPECT_EQ(error_field(expired, "message"),
+            "deadline expired before the run started");
+  EXPECT_EQ(design_counter(server, "d", "deadline_exceeded"), 1u);
+  EXPECT_EQ(design_counter(server, "d", "cancelled"), 1u);
 }
 
 TEST(Server, DefaultDeadlineApplies) {
@@ -368,6 +441,60 @@ TEST(Server, SocketRoundTripWithClient) {
   serving.join();
   EXPECT_TRUE(serve_status.is_ok()) << serve_status.to_string();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(Server, ClientsDoNotShareRequestIds) {
+  const std::filesystem::path socket_path =
+      std::filesystem::temp_directory_path() / "gtl_server_client_ids.sock";
+  std::filesystem::remove(socket_path);
+
+  ServerConfig cfg;
+  cfg.socket_path = socket_path;
+  cfg.workers = 2;
+  Server server(cfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+  std::atomic<bool> stop{false};
+  std::thread serving([&] { (void)server.serve(stop); });
+
+  Client a, b, c;
+  ASSERT_TRUE(connect_with_retry(socket_path, &a).is_ok());
+  ASSERT_TRUE(connect_with_retry(socket_path, &b).is_ok());
+  ASSERT_TRUE(connect_with_retry(socket_path, &c).is_ok());
+
+  // A's slow run is in flight under the id A is about to stamp.
+  const std::uint64_t a_id = a.next_id();
+  Status a_status = Status::ok();
+  std::thread a_run([&] {
+    const FinderConfig slow = slow_config();
+    FinderResult ignored;
+    a_status = a.run_finder("d", &slow, 0, &ignored);
+  });
+  std::uint64_t in_flight = 0;
+  for (int i = 0; i < 2000 && in_flight != 1; ++i) {
+    JsonValue status;
+    EXPECT_TRUE(c.status(&status).is_ok());
+    EXPECT_TRUE(status.find("in_flight")->get_uint64(&in_flight).is_ok());
+    if (in_flight != 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_EQ(in_flight, 1u);
+
+  // B's first run_finder must not collide with A's in-flight id.
+  const FinderConfig quick = quick_config();
+  FinderResult b_result;
+  const Status b_status = b.run_finder("d", &quick, 0, &b_result);
+  EXPECT_TRUE(b_status.is_ok()) << b_status.to_string();
+
+  // A third client still names A's run by A's id.
+  bool delivered = false;
+  EXPECT_TRUE(c.cancel(a_id, &delivered).is_ok());
+  EXPECT_TRUE(delivered);
+  a_run.join();
+  EXPECT_EQ(a_status.code(), StatusCode::kCancelled) << a_status.to_string();
+
+  stop.store(true);
+  serving.join();
 }
 
 TEST(Server, ListeningCallbackMeansAFirstConnectSucceeds) {

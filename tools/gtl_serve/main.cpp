@@ -7,8 +7,8 @@
 // socket until SIGINT/SIGTERM.  Designs can be preloaded here (so the
 // first query never pays a parse) or loaded at runtime via the
 // load_design op; `--demo-design` plants a synthetic ISPD-like design
-// in-process, which is how CI and bench/serve_load.py get a workload
-// without fixture files.
+// in-process, which is how CI's serve smoke gets a workload without
+// fixture files.
 //
 // Prints exactly one "gtl_serve listening on <path>" line to stdout once
 // the socket is bound and listening — scripts wait for it before
