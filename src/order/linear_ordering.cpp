@@ -63,7 +63,7 @@ void OrderingEngine::reset() {
 void OrderingEngine::sift_up(std::uint32_t at, FrontierEntry e) {
   while (at > 0) {
     const std::uint32_t parent = (at - 1) / kArity;
-    if (!ranks_before(e, heap_[parent])) break;
+    if (!(e > heap_[parent])) break;
     place(at, heap_[parent]);
     at = parent;
   }
@@ -75,13 +75,24 @@ void OrderingEngine::sift_down(std::uint32_t at, FrontierEntry e) {
   for (;;) {
     const std::uint64_t first = std::uint64_t{at} * kArity + 1;
     if (first >= n) break;
-    const auto end =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(first + kArity, n));
     auto best = static_cast<std::uint32_t>(first);
-    for (std::uint32_t c = best + 1; c < end; ++c) {
-      if (ranks_before(heap_[c], heap_[best])) best = c;
+    if (first + kArity <= n) {
+      // All four children exist: pick the largest without branches.  The
+      // selects work on values and a mask; GCC turns a select between
+      // indices into a branch.
+      const FrontierEntry* child = &heap_[best];
+      const auto i01 = static_cast<std::uint32_t>(child[1] > child[0]);
+      const auto i23 = 2 + static_cast<std::uint32_t>(child[3] > child[2]);
+      const FrontierEntry max01 = i01 != 0 ? child[1] : child[0];
+      const FrontierEntry max23 = i23 != 2 ? child[3] : child[2];
+      const auto take23 = static_cast<std::uint32_t>(max23 > max01);
+      best += i01 ^ ((i01 ^ i23) & (0u - take23));
+    } else {
+      for (std::uint32_t c = best + 1; c < n; ++c) {
+        if (heap_[c] > heap_[best]) best = c;
+      }
     }
-    if (!ranks_before(heap_[best], e)) break;
+    if (!(heap_[best] > e)) break;
     place(at, heap_[best]);
     at = best;
   }
@@ -130,16 +141,17 @@ void OrderingEngine::absorb(CellId u) {
         touched_cells_.push_back(w);
         heap_.emplace_back();
         sift_up(static_cast<std::uint32_t>(heap_.size() - 1),
-                {after.conn, s.base_delta - before.cut_delta + after.cut_delta,
-                 w});
+                encode(after.conn,
+                       s.base_delta - before.cut_delta + after.cut_delta, w));
       } else if (s.slot < kUntouched) {
         const std::uint32_t at = s.slot;
+        const FrontierEntry old = heap_[at];
         // Keep the left-to-right sum: another association rounds
         // differently and would change tie-breaks.
-        const FrontierEntry moved{
-            heap_[at].conn + after.conn - before.conn,
-            heap_[at].cut_delta + after.cut_delta - before.cut_delta, w};
-        if (ranks_before(moved, heap_[at])) {
+        const FrontierEntry moved = encode(
+            conn_of(old) + after.conn - before.conn,
+            cut_delta_of(old) + after.cut_delta - before.cut_delta, w);
+        if (moved > old) {
           sift_up(at, moved);
         } else {
           sift_down(at, moved);
@@ -171,7 +183,7 @@ LinearOrdering OrderingEngine::grow(CellId seed) {
   out.prefix_pins.push_back(pins_in_group_);
 
   while (out.cells.size() < z && !heap_.empty()) {
-    const CellId u = heap_.front().cell;
+    const CellId u = cell_of(heap_.front());
     pop_top();
     absorb(u);
     out.cells.push_back(u);

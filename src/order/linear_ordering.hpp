@@ -18,6 +18,8 @@
 // absorbed; this bounds the per-step update cost on high-fanout nets.
 // Setting the threshold to 0 disables the trick (exact algorithm).
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -85,35 +87,52 @@ class OrderingEngine {
     std::uint32_t k = 0;
   };
 
-  /// A frontier cell's gains; the cell id is the final tie-break, so the
-  /// key order is total and the heap top is unique.
-  struct FrontierEntry {
-    double conn = 0.0;
-    std::int32_t cut_delta = 0;
-    CellId cell = kInvalidCell;
-  };
+  /// A frontier cell's gains and id packed into one unsigned 128-bit key
+  /// whose integer order is the rank order (paper I.7: highest conn
+  /// first, lowest cut delta breaks ties), so the heap top is the largest
+  /// key.  From high bits to low:
+  ///   - the bits of conn: conn > 0 on the frontier, and positive doubles
+  ///     order like their bit patterns;
+  ///   - kCutOffset - cut_delta as a uint32, so the smaller delta ranks
+  ///     first for either sign;
+  ///   - ~cell, so the smaller id ranks first; every key is unique and
+  ///     the heap top is too.
+  /// min_cut_first (ablation) puts the cut field above conn.  The mode is
+  /// fixed when a key is built, so every compare is one integer `>`.
+  using FrontierEntry = unsigned __int128;
+  static constexpr std::uint32_t kCutOffset = 0x7FFF'FFFFu;
 
-  /// Default: highest conn first, lowest cut delta breaks ties (paper
-  /// I.7).  min_cut_first swaps the two criteria (ablation).
-  [[nodiscard]] bool ranks_before(const FrontierEntry& a,
-                                  const FrontierEntry& b) const {
-    if (cfg_.min_cut_first) {
-      if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-      if (a.conn != b.conn) return a.conn > b.conn;
-    } else {
-      if (a.conn != b.conn) return a.conn > b.conn;
-      if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-    }
-    return a.cell < b.cell;
+  [[nodiscard]] FrontierEntry encode(double conn, std::int32_t cut_delta,
+                                     CellId cell) const {
+    assert(conn > 0.0);  // bit order is value order only for conn > 0
+    const FrontierEntry gain = std::bit_cast<std::uint64_t>(conn);
+    const FrontierEntry cut =
+        kCutOffset - static_cast<std::uint32_t>(cut_delta);
+    const FrontierEntry head =
+        cfg_.min_cut_first ? (cut << 64) | gain : (gain << 32) | cut;
+    return (head << 32) | ~cell;
+  }
+  [[nodiscard]] double conn_of(FrontierEntry e) const {
+    const auto gain =
+        static_cast<std::uint64_t>(e >> (cfg_.min_cut_first ? 32 : 64));
+    return std::bit_cast<double>(gain);
+  }
+  [[nodiscard]] std::int32_t cut_delta_of(FrontierEntry e) const {
+    const auto cut =
+        static_cast<std::uint32_t>(e >> (cfg_.min_cut_first ? 96 : 32));
+    return static_cast<std::int32_t>(kCutOffset - cut);
+  }
+  [[nodiscard]] static CellId cell_of(FrontierEntry e) {
+    return ~static_cast<CellId>(e);
   }
 
   void reset();
   void absorb(CellId u);
 
   // Frontier: a 4-ary heap of entries whose slots live in cells_.
-  void place(std::uint32_t at, const FrontierEntry& e) {
+  void place(std::uint32_t at, FrontierEntry e) {
     heap_[at] = e;
-    cells_[e.cell].slot = at;
+    cells_[cell_of(e)].slot = at;
   }
   void sift_up(std::uint32_t at, FrontierEntry e);
   void sift_down(std::uint32_t at, FrontierEntry e);

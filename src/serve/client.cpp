@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "finder/finder_json.hpp"
+#include "util/timer.hpp"
 
 namespace gtl::serve {
 namespace {
@@ -66,7 +67,7 @@ Status Client::call_retrying(Op op, const JsonValue::Object& fields,
   using Clock = std::chrono::steady_clock;
   if (budget_ms == 0) budget_ms = retry_.budget_ms;
   const Clock::time_point give_up =
-      Clock::now() + std::chrono::milliseconds(budget_ms);
+      saturating_deadline(Clock::now(), budget_ms);
 
   Status last = Status::ok();
   for (std::size_t attempt = 0;; ++attempt) {
@@ -94,7 +95,7 @@ Status Client::call_retrying(Op op, const JsonValue::Object& fields,
     const std::uint64_t half = backoff / 2;
     const std::uint64_t wait =
         half + (backoff > half ? rng_.next_below(backoff - half + 1) : 0);
-    if (Clock::now() + std::chrono::milliseconds(wait) >= give_up) {
+    if (saturating_deadline(Clock::now(), wait) >= give_up) {
       return last;  // the budget cannot fit another attempt
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(wait));

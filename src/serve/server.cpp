@@ -176,9 +176,13 @@ void Server::submit(std::string line, ResponseFn reply) {
       return;
     }
     if (deadline_ms != 0) {
-      deadlines_.push(DeadlineEntry{
-          Clock::now() + std::chrono::milliseconds(deadline_ms), inflight});
-      watchdog_cv_.notify_one();
+      // A deadline beyond the clock's range means the same as none.
+      const Clock::time_point when =
+          saturating_deadline(Clock::now(), deadline_ms);
+      if (when != Clock::time_point::max()) {
+        deadlines_.push(DeadlineEntry{when, inflight});
+        watchdog_cv_.notify_one();
+      }
     }
   }
 

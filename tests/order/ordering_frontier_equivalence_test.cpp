@@ -1,13 +1,15 @@
 // Equivalence suite for the ordering engine: grows orderings with the
 // production OrderingEngine (packed per-cell records, O(1) discovery of
-// new frontier cells, 4-ary heap) and with a reference engine that
-// computes every newly reached cell's gains from scratch and keeps the
-// frontier in a std::set (the original implementation, reproduced
-// verbatim below).  It asserts byte-identical LinearOrdering output —
-// cells, prefix_cut and prefix_pins — across netlists, growth seeds,
-// large-net thresholds and both tie-break modes.  Both engines order
-// keys by the same strict total order (conn desc, cut_delta asc, cell
-// asc), so any divergence is a bug in one of the two.
+// new frontier cells, 4-ary heap of integer keys) and with a reference
+// engine that computes every newly reached cell's gains from scratch and
+// keeps the frontier in a std::set (the original implementation,
+// reproduced verbatim below).  It asserts byte-identical LinearOrdering
+// output — cells, prefix_cut and prefix_pins — across netlists, growth
+// seeds, large-net thresholds and both tie-break modes.  Both engines
+// rank frontier cells by the same strict total order (conn desc,
+// cut_delta asc, cell asc): the reference compares the three fields in
+// turn, and the production engine encodes the same order in one unsigned
+// 128-bit key.  Any divergence is a bug in one of the two.
 
 #include "order/linear_ordering.hpp"
 

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -108,6 +109,34 @@ Status connect_with_retry(const std::filesystem::path& path, Client* client) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return st;
+}
+
+/// Wait until the workers have taken every queued job.
+void wait_for_empty_queue(Server& server) {
+  for (int i = 0; i < 500; ++i) {
+    const JsonValue status =
+        parse(server.handle_line(R"({"id":100,"op":"status"})"));
+    std::uint64_t depth = 1;
+    ASSERT_TRUE(status.find("result")
+                    ->find("queue_depth")
+                    ->get_uint64(&depth)
+                    .is_ok());
+    if (depth == 0) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+/// stats.global.<counter>
+std::uint64_t global_counter(Server& server, const char* counter) {
+  const JsonValue stats =
+      parse(server.handle_line(R"({"id":901,"op":"stats"})"));
+  std::uint64_t value = 0;
+  EXPECT_TRUE(stats.find("result")
+                  ->find("global")
+                  ->find(counter)
+                  ->get_uint64(&value)
+                  .is_ok());
+  return value;
 }
 
 /// Collects one asynchronous response.
@@ -264,17 +293,7 @@ TEST(Server, OverloadedWhenQueueFull) {
   Capture first, second, third;
   server.submit(run_line(1, "d", slow_config()), first.sink());
   // Wait for the worker to pick up #1, so #2 queues instead of bouncing.
-  for (int i = 0; i < 500; ++i) {
-    const JsonValue status =
-        parse(server.handle_line(R"({"id":100,"op":"status"})"));
-    std::uint64_t depth = 1;
-    ASSERT_TRUE(status.find("result")
-                    ->find("queue_depth")
-                    ->get_uint64(&depth)
-                    .is_ok());
-    if (depth == 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  wait_for_empty_queue(server);
   server.submit(run_line(2, "d", quick_config()), second.sink());
   server.submit(run_line(3, "d", quick_config()), third.sink());
   EXPECT_EQ(error_code_of(parse(third.wait())), "overloaded");
@@ -283,14 +302,7 @@ TEST(Server, OverloadedWhenQueueFull) {
   EXPECT_TRUE(response_status(parse(first.wait())).is_ok());
   EXPECT_TRUE(response_status(parse(second.wait())).is_ok());
 
-  std::uint64_t rejected = 0;
-  const JsonValue stats = parse(server.handle_line(R"({"id":4,"op":"stats"})"));
-  ASSERT_TRUE(stats.find("result")
-                  ->find("global")
-                  ->find("rejected_overload")
-                  ->get_uint64(&rejected)
-                  .is_ok());
-  EXPECT_EQ(rejected, 1u);
+  EXPECT_EQ(global_counter(server, "rejected_overload"), 1u);
 }
 
 TEST(Server, DeadlineExpiresMidRun) {
@@ -333,6 +345,40 @@ TEST(Server, DefaultDeadlineApplies) {
   const JsonValue response =
       parse(server.handle_line(run_line(1, "d", slow_config())));
   EXPECT_EQ(error_code_of(response), "deadline_exceeded");
+}
+
+TEST(Server, DeadlineBeyondTheClockMeansNone) {
+  // The steady clock counts int64 nanoseconds; a deadline past its range
+  // (~292 years) must not wrap into the past.  It means the same as none,
+  // whether the request or the server's default sets it.
+  const BookshelfDesign design = planted_design();
+  const FinderConfig cfg = quick_config();
+  Finder direct(design.netlist, cfg);
+  const std::string expected =
+      deterministic_result_json(direct.run()).dump();
+
+  constexpr std::uint64_t kBeyond[] = {
+      std::numeric_limits<std::uint64_t>::max(), 10'000'000'000'000};
+  Server server(ServerConfig{});
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+  std::uint64_t id = 1;
+  for (const std::uint64_t deadline_ms : kBeyond) {
+    const JsonValue response =
+        parse(server.handle_line(run_line(id++, "d", cfg, deadline_ms)));
+    ASSERT_TRUE(response_status(response).is_ok()) << deadline_ms;
+    EXPECT_EQ(response.find("result")->dump(), expected) << deadline_ms;
+  }
+
+  for (const std::uint64_t deadline_ms : kBeyond) {
+    ServerConfig scfg;
+    scfg.default_deadline_ms = deadline_ms;
+    Server defaulted(scfg);
+    ASSERT_TRUE(defaulted.preload("d", planted_design()).is_ok());
+    const JsonValue response =
+        parse(defaulted.handle_line(run_line(1, "d", cfg)));
+    ASSERT_TRUE(response_status(response).is_ok()) << deadline_ms;
+    EXPECT_EQ(response.find("result")->dump(), expected) << deadline_ms;
+  }
 }
 
 TEST(Server, CancelStopsInFlightRun) {
@@ -441,6 +487,58 @@ TEST(Server, SocketRoundTripWithClient) {
   serving.join();
   EXPECT_TRUE(serve_status.is_ok()) << serve_status.to_string();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+TEST(Server, RetryBudgetBeyondTheClockStillRetries) {
+  // A run_finder deadline also bounds the client's retry loop.  One past
+  // the steady clock's range must not wrap into the past and end the
+  // loop after the first shed: every attempt reaches the server.
+  const std::filesystem::path socket_path =
+      std::filesystem::temp_directory_path() / "gtl_server_retry_budget.sock";
+  std::filesystem::remove(socket_path);
+
+  ServerConfig cfg;
+  cfg.socket_path = socket_path;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  cfg.retry_after_ms = 1;
+  Server server(cfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+
+  // #1 holds the only worker and #2 fills the queue, so every run_finder
+  // from the client is shed with "overloaded".
+  Capture running, queued;
+  server.submit(run_line(1, "d", slow_config()), running.sink());
+  wait_for_empty_queue(server);
+  server.submit(run_line(2, "d", slow_config()), queued.sink());
+
+  std::atomic<bool> stop{false};
+  Status serve_status = Status::ok();
+  std::thread serving([&] { serve_status = server.serve(stop); });
+
+  Client client;
+  ASSERT_TRUE(connect_with_retry(socket_path, &client).is_ok());
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.base_backoff_ms = 1;
+  policy.max_backoff_ms = 2;
+  client.set_retry_policy(policy);
+
+  const FinderConfig qcfg = quick_config();
+  FinderResult ignored;
+  const Status shed = client.run_finder(
+      "d", &qcfg, std::numeric_limits<std::uint64_t>::max(), &ignored);
+  EXPECT_EQ(shed.code(), StatusCode::kUnavailable) << shed.to_string();
+  EXPECT_EQ(global_counter(server, "rejected_overload"), 3u);
+
+  (void)server.handle_line(R"({"id":3,"op":"cancel","target_id":2})");
+  (void)server.handle_line(R"({"id":4,"op":"cancel","target_id":1})");
+  EXPECT_EQ(error_code_of(parse(running.wait())), "cancelled");
+  EXPECT_EQ(error_code_of(parse(queued.wait())), "cancelled");
+
+  stop.store(true);
+  serving.join();
+  EXPECT_TRUE(serve_status.is_ok()) << serve_status.to_string();
 }
 
 TEST(Server, ClientsDoNotShareRequestIds) {

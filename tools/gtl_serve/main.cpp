@@ -16,8 +16,10 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "gtl/netlist.hpp"
@@ -33,6 +35,38 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void on_signal(int /*signum*/) { g_stop.store(true); }
+
+/// --key as a count.  A negative value is an error naming the flag: a
+/// plain cast would turn -1 into SIZE_MAX (or abort in reserve()).
+std::uint64_t get_count(const gtl::CliArgs& args, const std::string& key,
+                        std::int64_t fallback) {
+  const std::int64_t value = args.get_int(key, fallback);
+  if (value >= 0) return static_cast<std::uint64_t>(value);
+  std::string msg("--");
+  msg += key;
+  msg += " must not be negative (got ";
+  msg += std::to_string(value);
+  msg += ")";
+  args.record_error(gtl::Status::invalid_argument(msg));
+  return static_cast<std::uint64_t>(fallback);
+}
+
+/// --key given in MiB, as bytes; a count whose byte size overflows size_t
+/// is an error too.
+std::size_t get_mib(const gtl::CliArgs& args, const std::string& key,
+                    std::int64_t fallback) {
+  const std::uint64_t mib = get_count(args, key, fallback);
+  if (mib <= (std::numeric_limits<std::size_t>::max() >> 20)) {
+    return static_cast<std::size_t>(mib) << 20;
+  }
+  std::string msg("--");
+  msg += key;
+  msg += " is too large: ";
+  msg += std::to_string(mib);
+  msg += " MiB overflows a byte count";
+  args.record_error(gtl::Status::invalid_argument(msg));
+  return static_cast<std::size_t>(fallback) << 20;
+}
 
 }  // namespace
 
@@ -77,22 +111,15 @@ int main(int argc, char** argv) {
 
   gtl::serve::ServerConfig cfg;
   cfg.socket_path = args.get_string("socket");
-  cfg.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-  cfg.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-cap", 16));
-  cfg.max_resident_bytes =
-      static_cast<std::size_t>(args.get_int("max-resident-mb", 512)) << 20;
-  cfg.hard_resident_bytes =
-      static_cast<std::size_t>(args.get_int("hard-resident-mb", 0)) << 20;
-  cfg.retry_after_ms =
-      static_cast<std::uint64_t>(args.get_int("retry-after-ms", 1000));
+  cfg.workers = get_count(args, "workers", 2);
+  cfg.queue_capacity = get_count(args, "queue-cap", 16);
+  cfg.max_resident_bytes = get_mib(args, "max-resident-mb", 512);
+  cfg.hard_resident_bytes = get_mib(args, "hard-resident-mb", 0);
+  cfg.retry_after_ms = get_count(args, "retry-after-ms", 1000);
   cfg.manifest_path = args.get_string("manifest");
-  cfg.default_deadline_ms =
-      static_cast<std::uint64_t>(args.get_int("default-deadline-ms", 0));
-  cfg.max_threads_per_query =
-      static_cast<std::size_t>(args.get_int("max-threads-per-query", 0));
-  cfg.max_idle_sessions =
-      static_cast<std::size_t>(args.get_int("max-idle-sessions", 4));
+  cfg.default_deadline_ms = get_count(args, "default-deadline-ms", 0);
+  cfg.max_threads_per_query = get_count(args, "max-threads-per-query", 0);
+  cfg.max_idle_sessions = get_count(args, "max-idle-sessions", 4);
 
   const std::string preload_name = args.get_string("preload-name");
   const std::string preload_aux = args.get_string("preload-aux");
