@@ -159,10 +159,7 @@ void Finder::notify_candidate_refined(std::size_t total) {
   observer_->on_candidate_refined(done, total);
 }
 
-const OrderingSet& Finder::grow_orderings() {
-  // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
-  Timer timer;
-  // Fresh run: drop prior artifacts.
+void Finder::begin_run() {
   stage_ = Stage::kIdle;
   cancelled_ = false;
   orderings_ = OrderingSet{};
@@ -188,10 +185,15 @@ const OrderingSet& Finder::grow_orderings() {
       }
     }
   }
+  orderings_.completed.assign(orderings_.seeds.size(), 0);
+}
 
+const OrderingSet& Finder::grow_orderings() {
+  // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
+  Timer timer;
+  begin_run();
   const std::size_t m = orderings_.seeds.size();
   orderings_.orderings.resize(m);
-  orderings_.completed.assign(m, 0);
   notify_phase_start(FinderPhase::kGrowOrderings, m);
 
   // Seed i writes only slot i, so results are independent of which
@@ -210,45 +212,28 @@ const OrderingSet& Finder::grow_orderings() {
   return orderings_;
 }
 
-const CandidateSet& Finder::extract_candidates() {
-  GTL_REQUIRE(stage_ >= Stage::kGrown,
-              "extract_candidates before grow_orderings");
+void Finder::extract_one(std::size_t i, std::size_t w,
+                         const LinearOrdering& ordering,
+                         ExtractionSlots& slots) {
+  if (ordering.cells.size() < 2) return;
+  // The curve lives in this worker's reusable scratch.
+  const SelectedScoreCurve curve = compute_selected_curve(
+      *nl_, ordering, CurveConfig{}, cfg_.score, scratch_[w].curve);
+  slots.rent[i] = curve.rent_exponent;
+  slots.candidate[i] =
+      candidate_at_minimum(ordering, curve, cfg_.score, MinimumConfig{});
+}
+
+void Finder::finish_extraction(ExtractionSlots& slots, double seconds) {
   // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
   Timer timer;
-  candidates_ = CandidateSet{};
-  result_ = FinderResult{};
   candidates_.context.avg_pins_per_cell = nl_->average_pins_per_cell();
-
-  const std::size_t m = orderings_.seeds.size();
-  notify_phase_start(FinderPhase::kExtractCandidates, m);
-  // Partial-result semantics: a trip already accounted for by an earlier
-  // phase truncated our *input*; this phase must still process the
-  // completed prefix in full, and only stops on a fresh trip.
-  const bool honor_token = !cancelled_;
-
-  // Per-seed slots so parallel extraction stays deterministic: the curve
-  // of seed i depends only on ordering i, and all cross-seed reductions
-  // below run serially in seed order.
-  std::vector<std::optional<Candidate>> raw(m);
-  std::vector<double> rent_estimates(m, -1.0);
-  pool_.parallel_for(m, [&](std::size_t i, std::size_t w) {
-    if (honor_token && cancel_requested()) return;
-    if (!orderings_.completed[i]) return;
-    const LinearOrdering& ordering = orderings_.orderings[i];
-    if (ordering.cells.size() < 2) return;
-    // The curve lives in this worker's reusable scratch.
-    const SelectedScoreCurve curve = compute_selected_curve(
-        *nl_, ordering, CurveConfig{}, cfg_.score, scratch_[w].curve);
-    rent_estimates[i] = curve.rent_exponent;
-    raw[i] = candidate_at_minimum(ordering, curve, cfg_.score, MinimumConfig{});
-  });
-  if (honor_token && cancel_requested()) cancelled_ = true;
 
   // Global Rent exponent: mean of the per-ordering estimates (paper
   // §3.2.2), collected in seed order; all Phase III scoring uses this
   // shared context.
   std::vector<double> valid_rents;
-  for (const double p : rent_estimates) {
+  for (const double p : slots.rent) {
     if (p >= 0.0) valid_rents.push_back(p);
   }
   candidates_.context.rent_exponent =
@@ -259,7 +244,7 @@ const CandidateSet& Finder::extract_candidates() {
   // Seed order makes a cancelled run's candidate list a prefix of the
   // full run's: membership here depends only on earlier entries.
   std::unordered_map<std::uint64_t, std::size_t> seen;
-  for (std::optional<Candidate>& c : raw) {
+  for (std::optional<Candidate>& c : slots.candidate) {
     if (!c) continue;
     ++candidates_.extracted;
     const std::uint64_t h = hash_members(c->cells);
@@ -272,7 +257,7 @@ const CandidateSet& Finder::extract_candidates() {
     candidates_.candidates.push_back(std::move(*c));
   }
 
-  candidates_.seconds = timer.seconds();
+  candidates_.seconds = seconds + timer.seconds();
   stage_ = Stage::kExtracted;
   if (observer_ != nullptr) {
     MutexLock lk(observer_mu_);
@@ -280,6 +265,37 @@ const CandidateSet& Finder::extract_candidates() {
                                        candidates_.candidates.size());
   }
   notify_phase_end(FinderPhase::kExtractCandidates, candidates_.seconds);
+}
+
+const CandidateSet& Finder::extract_candidates() {
+  GTL_REQUIRE(stage_ >= Stage::kGrown,
+              "extract_candidates before grow_orderings");
+  GTL_REQUIRE(orderings_.orderings.size() == orderings_.seeds.size(),
+              "extract_candidates after run(): run() keeps no orderings");
+  // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
+  Timer timer;
+  candidates_ = CandidateSet{};
+  result_ = FinderResult{};
+
+  const std::size_t m = orderings_.seeds.size();
+  notify_phase_start(FinderPhase::kExtractCandidates, m);
+  // Partial-result semantics: a trip already accounted for by an earlier
+  // phase truncated our *input*; this phase must still process the
+  // completed prefix in full, and only stops on a fresh trip.
+  const bool honor_token = !cancelled_;
+
+  // Per-seed slots so parallel extraction stays deterministic: the curve
+  // of seed i depends only on ordering i, and all cross-seed reductions
+  // run serially in seed order.
+  ExtractionSlots slots(m);
+  pool_.parallel_for(m, [&](std::size_t i, std::size_t w) {
+    if (honor_token && cancel_requested()) return;
+    if (!orderings_.completed[i]) return;
+    extract_one(i, w, orderings_.orderings[i], slots);
+  });
+  if (honor_token && cancel_requested()) cancelled_ = true;
+
+  finish_extraction(slots, timer.seconds());
   return candidates_;
 }
 
@@ -360,16 +376,34 @@ const FinderResult& Finder::refine_and_prune() {
 const FinderResult& Finder::run() {
   // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
   Timer total;
-  grow_orderings();
-  extract_candidates();
-  // The composed path never exposes the orderings between phases, so
-  // release them as soon as Phase II has consumed them: otherwise a
-  // paper-scale run() holds ~20 B x num_seeds x Z (hundreds of MB) until
-  // it returns, where the old streaming one-shot peaked at O(workers x Z).
-  // Seeds and completion flags survive; callers who want the orderings
-  // step the phases themselves.
-  orderings_.orderings.clear();
-  orderings_.orderings.shrink_to_fit();
+  begin_run();
+  const std::size_t m = orderings_.seeds.size();
+  notify_phase_start(FinderPhase::kGrowOrderings, m);
+
+  // Phases I and II streamed: item i grows ordering i into its worker's
+  // buffer and extracts from it at once, so the run holds one ordering
+  // per worker instead of m, each scored while still in cache.  The
+  // token is checked only before the grow: a grown ordering is always
+  // extracted, as the stepped path extracts every ordering grown before
+  // a trip.  Slot i depends only on seed i, so the bytes are the
+  // stepped path's.
+  ExtractionSlots slots(m);
+  pool_.parallel_for(m, [&](std::size_t i, std::size_t w) {
+    if (cancel_requested()) return;
+    LinearOrdering& ordering = scratch_[w].arena.ordering;
+    engine_for(w).grow(orderings_.seeds[i], ordering);
+    orderings_.completed[i] = 1;
+    notify_ordering_grown(m);
+    extract_one(i, w, ordering, slots);
+  });
+  if (cancel_requested()) cancelled_ = true;
+
+  orderings_.seconds = total.seconds();
+  stage_ = Stage::kGrown;
+  notify_phase_end(FinderPhase::kGrowOrderings, orderings_.seconds);
+
+  notify_phase_start(FinderPhase::kExtractCandidates, m);
+  finish_extraction(slots, 0.0);
   refine_and_prune();
   result_.total_seconds = total.seconds();
   return result_;

@@ -8,7 +8,8 @@
 //       grow_orderings()      -> OrderingSet   (Phase I)
 //       extract_candidates()  -> CandidateSet  (Phase II)
 //       refine_and_prune()    -> FinderResult  (Phase III)
-//       run()                 -> FinderResult  (all three)
+//       run()                 -> FinderResult  (all three; Phase I
+//                                streams into Phase II, same bytes)
 //
 //   * reports progress through a ProgressObserver and honors a
 //     cooperative CancelToken at seed granularity, returning partial
@@ -34,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "finder/candidate.hpp"
@@ -95,10 +97,10 @@ struct FinderResult {
 /// Phase I artifact: one grown ordering per selected seed.  When the
 /// phases are stepped individually, the orderings stay resident so
 /// Phase II is re-runnable and inspectable — budget ~20 bytes x
-/// num_seeds x max_ordering_length in the worst case.  run() releases
-/// the `orderings` storage right after Phase II (seeds/completed
-/// survive), keeping the composed path's peak memory at the streaming
-/// one-shot level.
+/// num_seeds x max_ordering_length in the worst case.  run() never
+/// stores them: it extracts each ordering as soon as it has grown, from
+/// a per-worker buffer, so after run() only `seeds` and `completed` are
+/// filled and `orderings` is empty.
 struct OrderingSet {
   /// The m seed cells drawn from the movable set (I.1).
   std::vector<CellId> seeds;
@@ -171,10 +173,16 @@ class Finder {
   /// Precondition: extract_candidates() ran this session run.
   const FinderResult& refine_and_prune();
 
-  /// All three phases; byte-identical to stepping them (pinned by
-  /// tests/finder/finder_equivalence_test.cpp).  Releases the Phase I
-  /// orderings once Phase II has consumed them (see OrderingSet); step
-  /// the phases individually to keep them.
+  /// All three phases; byte-identical to stepping them, cancelled runs
+  /// included (pinned by tests/finder/finder_equivalence_test.cpp).
+  /// Phase I streams into Phase II: each work item grows one ordering
+  /// into its worker's buffer and extracts from it at once, so peak
+  /// memory holds O(workers x Z) of orderings instead of O(m x Z), and
+  /// no ordering is kept (see OrderingSet); step the phases to keep
+  /// them.  The Rent mean and the dedup stay one serial pass in seed
+  /// order, shared with extract_candidates().  Observer events come in
+  /// the stepped order: Phase I's (one on_ordering_grown per seed), then
+  /// Phase II's around the serial pass, then Phase III's.
   const FinderResult& run();
 
   // --- artifact access (valid once the producing phase has run) ---
@@ -205,9 +213,32 @@ class Finder {
     std::unique_ptr<GroupConnectivity> group;
     /// Phase II curve buffers (selected-Φ values + shared ln tables).
     CurveScratch curve;
-    /// Phase III genetic-family merge buffers + inner-regrowth curves.
+    /// Phase III genetic-family merge buffers, inner-regrowth ordering
+    /// and curves.  run()'s streamed Phase I grows into the same
+    /// ordering buffer: the phases never overlap.
     RefineArena arena;
   };
+
+  /// Phase II's per-seed results before its serial pass: slot i holds
+  /// ordering i's candidate and Rent estimate (-1 when it had no curve).
+  struct ExtractionSlots {
+    explicit ExtractionSlots(std::size_t m) : candidate(m), rent(m, -1.0) {}
+    std::vector<std::optional<Candidate>> candidate;
+    std::vector<double> rent;
+  };
+
+  /// Start a fresh run: drop prior artifacts, draw the seeds (I.1) and
+  /// clear their completion flags.
+  void begin_run();
+  /// Phase II on one ordering, the one grown from seeds[i]: fills slot i
+  /// using worker w's curve scratch.
+  void extract_one(std::size_t i, std::size_t w,
+                   const LinearOrdering& ordering, ExtractionSlots& slots);
+  /// Phase II's serial pass in seed order (global Rent mean, dedup) into
+  /// candidates_, then the phase's end events.  `seconds` is the phase's
+  /// time before the pass.
+  void finish_extraction(ExtractionSlots& slots, double seconds)
+      GTL_EXCLUDES(observer_mu_);
 
   [[nodiscard]] bool cancel_requested() const {
     return cancel_ != nullptr && cancel_->cancel_requested();

@@ -32,9 +32,9 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
   for (std::size_t i = 0; i < cfg.extra_seeds; ++i) {
     const CellId inner_seed =
         initial.cells[rng.next_below(initial.cells.size())];
-    const LinearOrdering ordering = engine.grow(inner_seed);
-    auto cand =
-        extract_candidate(nl, ordering, kind, curve_cfg, min_cfg, arena.curve);
+    engine.grow(inner_seed, arena.ordering);
+    auto cand = extract_candidate(nl, arena.ordering, kind, curve_cfg, min_cfg,
+                                  arena.curve);
     if (cand) list_at(n_lists++) = std::move(cand->cells);
   }
   const std::size_t n_base = n_lists;

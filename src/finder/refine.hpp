@@ -31,12 +31,13 @@ struct RefineConfig {
 
 /// Per-worker reusable scratch for refine_candidate: the genetic family's
 /// member-list buffers (up to (l+1) + 4·C(l+1,2) sorted lists, cleared
-/// but keeping capacity between candidates) and the curve scratch that
-/// backs the inner re-growth extractions.  One arena per worker thread;
-/// contents never leak between candidates, so reuse cannot affect
-/// results.
+/// but keeping capacity between candidates), the ordering buffer each
+/// inner re-growth grows into, and the curve scratch that backs the
+/// inner re-growth extractions.  One arena per worker thread; contents
+/// never leak between candidates, so reuse cannot affect results.
 struct RefineArena {
   std::vector<std::vector<CellId>> lists;
+  LinearOrdering ordering;
   CurveScratch curve;
 };
 

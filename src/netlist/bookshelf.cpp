@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
@@ -21,7 +22,7 @@ namespace {
 // Each file is slurped in one gulp and tokenized in place: tokens are
 // string_views into the buffer, numbers go through std::from_chars, and
 // the per-line token vector is reused, so steady-state parsing allocates
-// only for the strings the Netlist itself must own (cell/net names).
+// only for the name bytes the Netlist itself packs and owns.
 // The line-of-tokens shape deliberately mirrors the seed parser's
 // getline+istringstream structure so its accepted dialect is preserved
 // exactly (pinned by tests/netlist/bookshelf_equivalence_test.cpp):
@@ -145,12 +146,13 @@ Status parse_decl_count(const Scanner& s, std::uint64_t* out) {
   return expect_count(s, toks[vi], out);
 }
 
+/// Names and index keys view into the .nodes file buffer (kept alive by
+/// the caller until the builder has copied the names), so .nets/.pl
+/// lookups hash raw token views and no node holds a string of its own.
 struct NodesData {
-  std::vector<std::string> names;
+  std::vector<std::string_view> names;
   std::vector<double> widths, heights;
   std::vector<std::uint8_t> fixed;  // byte flags, matching NetlistBuilder
-  /// Keys view into the .nodes file buffer (kept alive by the caller), so
-  /// .nets/.pl lookups hash raw token views — no per-lookup string.
   std::unordered_map<std::string_view, CellId> index;
 };
 
@@ -211,7 +213,7 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
     GTL_RETURN_IF_ERROR(expect_double(s, toks[1], &w));
     GTL_RETURN_IF_ERROR(expect_double(s, toks[2], &h));
     const bool terminal = toks.size() == 4;
-    d->names.emplace_back(toks[0]);
+    d->names.push_back(toks[0]);
     // Zero-sized pads appear in real benchmarks; clamp like the seed
     // parser did so the Netlist's positive-area invariant holds.
     d->widths.push_back(std::max(1e-9, w));
@@ -263,7 +265,7 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
                             std::to_string(degree) + " pins but " +
                             std::to_string(pins.size()) + " follow");
     }
-    nb->add_net(pins, std::string(net_name));
+    nb->add_net(pins, net_name);
     ++nets_done;
     pins.clear();
     net_open = false;
@@ -427,6 +429,39 @@ Status parse_pl(const std::filesystem::path& path, std::string_view buf,
   return Status::ok();
 }
 
+/// Names for the unnamed cells whose default name o<c> a named cell
+/// already owns: the first free o<c>_<k>, k = 1, 2, ...  Generated names
+/// never clash with each other (o<c> has no '_', and o<c>_<k> spells out
+/// its c), so only the given names need checking.  Empty, and no set is
+/// built, unless some cell is unnamed among named ones.
+std::unordered_map<CellId, std::string> renamed_unnamed_cells(
+    const Netlist& nl) {
+  std::unordered_map<CellId, std::string> renamed;
+  if (!nl.has_names()) return renamed;
+  std::vector<CellId> unnamed;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (nl.cell_name(c).empty()) unnamed.push_back(c);
+  }
+  if (unnamed.empty()) return renamed;
+  std::unordered_set<std::string_view> given;
+  given.reserve(nl.num_cells() - unnamed.size());
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (!nl.cell_name(c).empty()) given.insert(nl.cell_name(c));
+  }
+  for (const CellId c : unnamed) {
+    std::string name = numbered_name("o", c);
+    if (!given.contains(name)) continue;
+    const std::size_t stem = name.size();
+    for (std::uint64_t k = 1; given.contains(name); ++k) {
+      name.resize(stem);
+      name += '_';
+      name += std::to_string(k);
+    }
+    renamed.emplace(c, std::move(name));
+  }
+  return renamed;
+}
+
 Status slurp(const std::filesystem::path& path, std::string* out) {
   const Status st = read_file_to_string(path, out);
   if (!st.is_ok()) {
@@ -449,8 +484,8 @@ Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
   out->y.clear();
   out->warnings.clear();
 
-  // The .nodes buffer stays alive while .nets/.pl parse: the name index
-  // keys view into it.
+  // The .nodes buffer stays alive while .nets/.pl parse: the node names
+  // and the name index keys view into it.
   std::string nodes_buf;
   GTL_RETURN_IF_ERROR(slurp(nodes_path, &nodes_buf));
   NodesData nodes;
@@ -467,9 +502,7 @@ Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
   NetlistBuilder nb;
   nb.reserve(nodes.names.size(), 0, 0);
   for (std::size_t i = 0; i < nodes.names.size(); ++i) {
-    // Names move into the builder: the lookup index keys view into the
-    // file buffer, not into these strings.
-    nb.add_cell(std::move(nodes.names[i]), nodes.widths[i], nodes.heights[i],
+    nb.add_cell(nodes.names[i], nodes.widths[i], nodes.heights[i],
                 nodes.fixed[i] != 0);
   }
   {
@@ -537,9 +570,14 @@ void write_bookshelf(const BookshelfDesign& design,
     }
     return out;
   };
+  // Unnamed cells are written as o<c>, or as o<c>_<k> when a named cell
+  // owns o<c>, so every written node name is unique.
+  const std::unordered_map<CellId, std::string> renamed =
+      renamed_unnamed_cells(nl);
   auto node_name = [&](CellId c) {
-    if (nl.has_names() && !nl.cell_name(c).empty()) {
-      return std::string(nl.cell_name(c));
+    if (!nl.cell_name(c).empty()) return std::string(nl.cell_name(c));
+    if (const auto it = renamed.find(c); it != renamed.end()) {
+      return it->second;
     }
     return numbered_name("o", c);
   };

@@ -60,6 +60,8 @@ struct BookshelfDesign {
 
 /// Write `design` as <stem>.aux/.nodes/.nets/.pl in `dir`.
 /// Placement files are written only when design.x/y are non-empty.
+/// Unnamed cell c is written as o<c>, or as the first free o<c>_<k>
+/// (k = 1, 2, ...) when a named cell owns o<c>, so the files read back.
 void write_bookshelf(const BookshelfDesign& design,
                      const std::filesystem::path& dir,
                      const std::string& stem);

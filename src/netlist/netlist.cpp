@@ -6,20 +6,12 @@
 
 namespace gtl {
 
-std::string_view Netlist::cell_name(CellId c) const {
-  if (cell_names_.empty()) return {};
-  return cell_names_[c];
-}
-
-std::string_view Netlist::net_name(NetId e) const {
-  if (net_names_.empty()) return {};
-  return net_names_[e];
-}
-
 std::optional<CellId> Netlist::find_cell(std::string_view name) const {
-  const auto it = name_to_cell_.find(std::string(name));
-  if (it == name_to_cell_.end()) return std::nullopt;
-  return it->second;
+  if (name.empty() || cell_names_.empty()) return std::nullopt;
+  for (std::size_t c = 0; c < num_cells(); ++c) {
+    if (cell_names_.at(c) == name) return static_cast<CellId>(c);
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -29,16 +21,26 @@ std::size_t vec_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
-std::size_t names_bytes(const std::vector<std::string>& names) {
-  std::size_t total = names.capacity() * sizeof(std::string);
-  for (const std::string& s : names) {
-    // Strings short enough for SSO occupy no extra heap.
-    if (s.capacity() >= sizeof(std::string)) total += s.capacity() + 1;
+}  // namespace
+
+void Netlist::PackedNames::append(std::size_t index, std::string_view name) {
+  if (offsets.empty()) {
+    if (name.empty()) return;
+    offsets.assign(index + 1, 0);
   }
-  return total;
+  // 32-bit name offsets, like the 32-bit CSR offsets.
+  GTL_REQUIRE(name.size() <= std::size_t{0xFFFF'FFFFu} - blob.size(),
+              "too many name bytes (32-bit name offset overflow)");
+  blob.append(name);
+  offsets.push_back(static_cast<std::uint32_t>(blob.size()));
 }
 
-}  // namespace
+std::size_t Netlist::PackedNames::heap_bytes() const {
+  // A blob short enough for SSO occupies no extra heap.
+  const std::size_t heap =
+      blob.capacity() >= sizeof(std::string) ? blob.capacity() + 1 : 0;
+  return heap + vec_bytes(offsets);
+}
 
 std::size_t Netlist::resident_bytes() const {
   std::size_t total = sizeof(Netlist);
@@ -47,14 +49,7 @@ std::size_t Netlist::resident_bytes() const {
   total += vec_bytes(net_size_);
   total += vec_bytes(cell_width_) + vec_bytes(cell_height_);
   total += vec_bytes(cell_fixed_);
-  total += names_bytes(cell_names_) + names_bytes(net_names_);
-  // Name index: one node (key copy + value + bucket pointer) per entry,
-  // approximated as key heap + ~48 bytes of node/bucket overhead.
-  for (const auto& kv : name_to_cell_) {
-    total += 48 + (kv.first.capacity() >= sizeof(std::string)
-                       ? kv.first.capacity()
-                       : 0);
-  }
+  total += cell_names_.heap_bytes() + net_names_.heap_bytes();
   return total;
 }
 
@@ -67,21 +62,20 @@ void NetlistBuilder::reserve(std::size_t cells, std::size_t nets,
   net_pins_.reserve(pins);
 }
 
-CellId NetlistBuilder::add_cell(std::string name, double width, double height,
-                                bool fixed) {
+CellId NetlistBuilder::add_cell(std::string_view name, double width,
+                                double height, bool fixed) {
   GTL_REQUIRE(width > 0.0 && height > 0.0, "cell dimensions must be positive");
   GTL_REQUIRE(widths_.size() < kInvalidCell, "too many cells (id overflow)");
   const auto id = static_cast<CellId>(widths_.size());
   widths_.push_back(width);
   heights_.push_back(height);
   fixed_.push_back(fixed ? 1 : 0);
-  if (!name.empty()) any_cell_named_ = true;
-  cell_names_.push_back(std::move(name));
+  cell_names_.append(id, name);
   return id;
 }
 
 NetId NetlistBuilder::add_net(std::span<const CellId> cells,
-                              std::string name) {
+                              std::string_view name) {
   GTL_REQUIRE(!cells.empty(), "net must have at least one pin");
   GTL_REQUIRE(net_offset_.size() - 1 < kInvalidNet,
               "too many nets (id overflow)");
@@ -101,8 +95,7 @@ NetId NetlistBuilder::add_net(std::span<const CellId> cells,
   std::sort(first, net_pins_.end());
   net_pins_.erase(std::unique(first, net_pins_.end()), net_pins_.end());
   net_offset_.push_back(static_cast<std::uint32_t>(net_pins_.size()));
-  if (!name.empty()) any_net_named_ = true;
-  net_names_.push_back(std::move(name));
+  net_names_.append(id, name);
   return id;
 }
 
@@ -134,16 +127,6 @@ void Netlist::finalize_from_forward_csr() {
       cell_nets_[cursor[net_pins_[p]]++] = static_cast<NetId>(e);
     }
   }
-
-  name_to_cell_.clear();
-  if (!cell_names_.empty()) {
-    name_to_cell_.reserve(n_cells);
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      if (!cell_names_[c].empty()) {
-        name_to_cell_.emplace(cell_names_[c], static_cast<CellId>(c));
-      }
-    }
-  }
 }
 
 Netlist NetlistBuilder::build() {
@@ -153,8 +136,8 @@ Netlist NetlistBuilder::build() {
   nl.cell_fixed_ = std::move(fixed_);
   nl.net_pin_offset_ = std::move(net_offset_);
   nl.net_pins_ = std::move(net_pins_);
-  if (any_cell_named_) nl.cell_names_ = std::move(cell_names_);
-  if (any_net_named_) nl.net_names_ = std::move(net_names_);
+  nl.cell_names_ = std::move(cell_names_);
+  nl.net_names_ = std::move(net_names_);
   nl.finalize_from_forward_csr();
 
   // Reset builder to a pristine state.

@@ -19,13 +19,17 @@
 //
 // Cells carry physical width/height and a fixed flag so the same object
 // feeds both the connectivity algorithms (finder) and the placer.
+//
+// Names are packed: all cell names live in one byte buffer indexed by
+// 32-bit offsets (likewise net names), so a named cell costs its name's
+// bytes plus 4, and an unnamed netlist holds no name bytes at all.  No
+// name -> id index is kept; find_cell scans.
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace gtl {
@@ -94,19 +98,29 @@ class Netlist {
   [[nodiscard]] std::size_t num_movable() const { return num_movable_; }
 
   /// Cell name ("" when the netlist was built without names).
-  [[nodiscard]] std::string_view cell_name(CellId c) const;
+  [[nodiscard]] std::string_view cell_name(CellId c) const {
+    return cell_names_.at(c);
+  }
   /// Net name ("" when unnamed).
-  [[nodiscard]] std::string_view net_name(NetId e) const;
-  /// Lookup a cell by name; nullopt if names absent or not found.
+  [[nodiscard]] std::string_view net_name(NetId e) const {
+    return net_names_.at(e);
+  }
+  /// Lookup a cell by name: the lowest id whose name equals `name`, or
+  /// nullopt when there is none, when `name` is empty, or when the
+  /// netlist has no cell names.  O(num_cells): a linear scan of the
+  /// packed names (no index is kept; nothing on the finder or serving
+  /// path looks cells up by name).
   [[nodiscard]] std::optional<CellId> find_cell(std::string_view name) const;
 
+  /// True when the netlist carries cell names (some cell was given a
+  /// non-empty one).
   [[nodiscard]] bool has_names() const { return !cell_names_.empty(); }
 
   /// Approximate heap bytes held by this netlist (CSR arrays, cell
-  /// attributes, names, name index).  The accounting a multi-design
-  /// server needs for LRU eviction by resident size — an estimate (heap
-  /// allocator overhead and unordered_map buckets are approximated), but
-  /// a stable one: the same netlist always reports the same value.
+  /// attributes, and the packed name buffers and offsets).  The
+  /// accounting a multi-design server needs for LRU eviction by resident
+  /// size — allocator overhead is not counted, but the figure is stable:
+  /// the same netlist always reports the same value.
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
@@ -116,10 +130,32 @@ class Netlist {
   /// because a written snapshot already satisfies the invariants.
   friend struct NetlistSnapshotAccess;
 
+  /// Names packed into one buffer: name i is blob[offsets[i],
+  /// offsets[i+1]).  `offsets` is empty when no name of this kind was
+  /// given (every name is then ""), and holds one entry per cell (or
+  /// net) plus one otherwise.  Offsets are 32-bit: the builder and the
+  /// snapshot reader reject more than 2^32 - 1 name bytes.
+  struct PackedNames {
+    std::string blob;
+    std::vector<std::uint32_t> offsets;
+
+    [[nodiscard]] bool empty() const { return offsets.empty(); }
+    [[nodiscard]] std::string_view at(std::size_t i) const {
+      if (offsets.empty()) return {};
+      return {blob.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
+    /// Append name number `index` (the table starts at the first
+    /// non-empty name, with an empty entry for each one before it).
+    void append(std::size_t index, std::string_view name);
+    /// Heap bytes of the blob and the offsets.
+    [[nodiscard]] std::size_t heap_bytes() const;
+  };
+
   /// Recompute everything derivable from the forward CSR + cell arrays
   /// (which must already be populated): cached net sizes, the transposed
-  /// cell->nets CSR, the movable count, and the name index.  Shared by
-  /// NetlistBuilder::build() and the snapshot loader.
+  /// cell->nets CSR, and the movable count.  Names are stored as given
+  /// and derive nothing.  Shared by NetlistBuilder::build() and the
+  /// snapshot loader.
   void finalize_from_forward_csr();
 
   std::vector<std::uint32_t> cell_net_offset_;  // size num_cells+1
@@ -131,9 +167,8 @@ class Netlist {
   std::vector<double> cell_height_;
   std::vector<std::uint8_t> cell_fixed_;  // byte array: no bit probing
   std::size_t num_movable_ = 0;
-  std::vector<std::string> cell_names_;
-  std::vector<std::string> net_names_;
-  std::unordered_map<std::string, CellId> name_to_cell_;
+  PackedNames cell_names_;
+  PackedNames net_names_;
 };
 
 /// Incremental construction of a Netlist.
@@ -143,16 +178,18 @@ class NetlistBuilder {
   /// Reserve internal storage (optional, for large netlists).
   void reserve(std::size_t cells, std::size_t nets, std::size_t pins);
 
-  /// Add a cell; returns its id (ids are dense, in insertion order).
-  CellId add_cell(std::string name = {}, double width = 1.0,
+  /// Add a cell; returns its id (ids are dense, in insertion order).  The
+  /// name is copied into the packed name buffer.
+  CellId add_cell(std::string_view name = {}, double width = 1.0,
                   double height = 1.0, bool fixed = false);
 
   /// Add a net over the given cells. Duplicate cells within the net are
   /// removed. Nets with fewer than 1 distinct pin are rejected.
-  NetId add_net(std::span<const CellId> cells, std::string name = {});
-  NetId add_net(std::initializer_list<CellId> cells, std::string name = {}) {
+  NetId add_net(std::span<const CellId> cells, std::string_view name = {});
+  NetId add_net(std::initializer_list<CellId> cells,
+                std::string_view name = {}) {
     return add_net(std::span<const CellId>(cells.begin(), cells.size()),
-                   std::move(name));
+                   name);
   }
 
   [[nodiscard]] std::size_t num_cells() const { return widths_.size(); }
@@ -165,12 +202,10 @@ class NetlistBuilder {
   std::vector<double> widths_;
   std::vector<double> heights_;
   std::vector<std::uint8_t> fixed_;
-  std::vector<std::string> cell_names_;
-  std::vector<std::string> net_names_;
+  Netlist::PackedNames cell_names_;
+  Netlist::PackedNames net_names_;
   std::vector<std::uint32_t> net_offset_ = {0};
   std::vector<CellId> net_pins_;
-  bool any_cell_named_ = false;
-  bool any_net_named_ = false;
 };
 
 }  // namespace gtl

@@ -20,6 +20,8 @@ namespace gtl {
 /// snapshot already satisfies those invariants; the reader re-validates
 /// them before assembly).
 struct NetlistSnapshotAccess {
+  using PackedNames = Netlist::PackedNames;
+
   static const std::vector<std::uint32_t>& net_pin_offset(const Netlist& n) {
     return n.net_pin_offset_;
   }
@@ -35,20 +37,17 @@ struct NetlistSnapshotAccess {
   static const std::vector<std::uint8_t>& cell_fixed(const Netlist& n) {
     return n.cell_fixed_;
   }
-  static const std::vector<std::string>& cell_names(const Netlist& n) {
+  static const PackedNames& cell_names(const Netlist& n) {
     return n.cell_names_;
   }
-  static const std::vector<std::string>& net_names(const Netlist& n) {
-    return n.net_names_;
-  }
+  static const PackedNames& net_names(const Netlist& n) { return n.net_names_; }
 
   static Netlist assemble(std::vector<std::uint32_t>&& net_pin_offset,
                           std::vector<CellId>&& net_pins,
                           std::vector<double>&& widths,
                           std::vector<double>&& heights,
                           std::vector<std::uint8_t>&& fixed,
-                          std::vector<std::string>&& cell_names,
-                          std::vector<std::string>&& net_names) {
+                          PackedNames&& cell_names, PackedNames&& net_names) {
     Netlist nl;
     nl.net_pin_offset_ = std::move(net_pin_offset);
     nl.net_pins_ = std::move(net_pins);
@@ -179,31 +178,50 @@ class SnapshotReader {
   std::size_t pos_ = 0;
 };
 
+/// Read `count` name lengths and the blob they cover into a packed table:
+/// the lengths land in offsets[1..count] and become offsets in place, and
+/// the blob is copied once.  Zero names leave the table empty (unnamed),
+/// as a netlist with no cells or nets has no names to carry.
 Status read_names(SnapshotReader& r, const std::filesystem::path& path,
                   const char* kind, std::size_t count,
-                  std::uint64_t blob_bytes, std::vector<std::string>* out) {
-  std::vector<std::uint32_t> lengths;
-  GTL_RETURN_IF_ERROR(r.read_array(&lengths, count));
-  std::uint64_t total = 0;
-  for (const std::uint32_t len : lengths) total += len;  // <= count * 2^32
+                  std::uint64_t blob_bytes,
+                  NetlistSnapshotAccess::PackedNames* out) {
+  std::vector<std::uint32_t>& offsets = out->offsets;
+  offsets.resize(count + 1);
+  offsets[0] = 0;
+  GTL_RETURN_IF_ERROR(
+      r.read(offsets.data() + 1, count * sizeof(std::uint32_t)));
+  std::uint64_t total = 0;  // <= count * 2^32: no overflow
+  for (std::size_t i = 1; i <= count; ++i) {
+    total += offsets[i];
+    // Wraps only when total passes 2^32 - 1, and then the check below
+    // fails: the header's blob size is at most 2^32 - 1.
+    offsets[i] = static_cast<std::uint32_t>(total);
+  }
   if (total != blob_bytes) {
     return fail(path, std::string(kind) + " name lengths sum to " +
                           std::to_string(total) + " but the header declares " +
                           std::to_string(blob_bytes) + " blob bytes");
   }
-  // The blob is already resident in the slurped file buffer; construct
-  // the strings straight out of it (no transient copy of tens of MB on
-  // million-cell named designs).
   std::string_view blob;
   GTL_RETURN_IF_ERROR(r.view(&blob, static_cast<std::size_t>(blob_bytes)));
-  out->clear();
-  out->reserve(count);
-  std::size_t at = 0;
-  for (const std::uint32_t len : lengths) {
-    out->emplace_back(blob.substr(at, len));
-    at += len;
+  if (count == 0) {
+    *out = {};
+  } else {
+    out->blob.assign(blob);
   }
   return Status::ok();
+}
+
+/// The lengths (offset differences), then the blob in one write.
+void write_names(SnapshotWriter& w,
+                 const NetlistSnapshotAccess::PackedNames& names) {
+  std::vector<std::uint32_t> lengths(names.offsets.size() - 1);
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    lengths[i] = names.offsets[i + 1] - names.offsets[i];
+  }
+  w.write_array(lengths);
+  w.write(names.blob.data(), names.blob.size());
 }
 
 }  // namespace
@@ -226,16 +244,11 @@ Status try_write_snapshot(const BookshelfDesign& design,
   }
 
   std::uint32_t flags = 0;
-  std::uint64_t cell_name_bytes = 0, net_name_bytes = 0;
-  if (!A::cell_names(nl).empty()) {
-    flags |= kFlagCellNames;
-    for (const std::string& s : A::cell_names(nl)) cell_name_bytes += s.size();
-  }
-  if (!A::net_names(nl).empty()) {
-    flags |= kFlagNetNames;
-    for (const std::string& s : A::net_names(nl)) net_name_bytes += s.size();
-  }
+  if (!A::cell_names(nl).empty()) flags |= kFlagCellNames;
+  if (!A::net_names(nl).empty()) flags |= kFlagNetNames;
   if (!design.x.empty()) flags |= kFlagPlacement;
+  const std::uint64_t cell_name_bytes = A::cell_names(nl).blob.size();
+  const std::uint64_t net_name_bytes = A::net_names(nl).blob.size();
 
   // Write to a uniquely-named sibling temp file and rename into place:
   // an interrupted or failed write must never leave a partial file at
@@ -282,24 +295,8 @@ Status try_write_snapshot(const BookshelfDesign& design,
   w.write_array(A::cell_width(nl));
   w.write_array(A::cell_height(nl));
   w.write_array(A::cell_fixed(nl));
-  if ((flags & kFlagCellNames) != 0) {
-    std::vector<std::uint32_t> lengths;
-    lengths.reserve(A::cell_names(nl).size());
-    for (const std::string& s : A::cell_names(nl)) {
-      lengths.push_back(static_cast<std::uint32_t>(s.size()));
-    }
-    w.write_array(lengths);
-    for (const std::string& s : A::cell_names(nl)) w.write(s.data(), s.size());
-  }
-  if ((flags & kFlagNetNames) != 0) {
-    std::vector<std::uint32_t> lengths;
-    lengths.reserve(A::net_names(nl).size());
-    for (const std::string& s : A::net_names(nl)) {
-      lengths.push_back(static_cast<std::uint32_t>(s.size()));
-    }
-    w.write_array(lengths);
-    for (const std::string& s : A::net_names(nl)) w.write(s.data(), s.size());
-  }
+  if ((flags & kFlagCellNames) != 0) write_names(w, A::cell_names(nl));
+  if ((flags & kFlagNetNames) != 0) write_names(w, A::net_names(nl));
   if ((flags & kFlagPlacement) != 0) {
     w.write_array(design.x);
     w.write_array(design.y);
@@ -410,6 +407,11 @@ Status try_read_snapshot(const std::filesystem::path& path,
     return fail(path, "num_pins " + std::to_string(num_pins) +
                           " exceeds the 32-bit CSR offset limit");
   }
+  // Names are indexed by 32-bit offsets.
+  if (cell_name_bytes > 0xFFFF'FFFFu || net_name_bytes > 0xFFFF'FFFFu) {
+    return fail(path, "declared name blob exceeds the 32-bit name-offset "
+                      "limit");
+  }
   if (cell_name_bytes > buf.size() || net_name_bytes > buf.size()) {
     return fail(path, "declared name blob exceeds the file size");
   }
@@ -437,7 +439,7 @@ Status try_read_snapshot(const std::filesystem::path& path,
   std::vector<CellId> pins;
   std::vector<double> widths, heights, x, y;
   std::vector<std::uint8_t> fixed;
-  std::vector<std::string> cell_names, net_names;
+  NetlistSnapshotAccess::PackedNames cell_names, net_names;
 
   GTL_RETURN_IF_ERROR(
       r.read_array(&offsets, static_cast<std::size_t>(num_nets) + 1));

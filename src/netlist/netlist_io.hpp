@@ -4,7 +4,9 @@
 // re-deduplicates every net; a snapshot is written from an
 // already-validated Netlist, so reloading is a handful of bulk array
 // reads plus the derived-structure rebuild (transposed CSR, net sizes,
-// name index).
+// movable count).  Names load as the Netlist stores them: each name blob
+// is copied once and its lengths become 32-bit offsets in place, with no
+// per-name object and no name index.
 //
 // Format v1, little-endian, in file order:
 //
@@ -29,8 +31,9 @@
 //   [x num_cells x f64][y num_cells x f64]                if flag bit2
 //   checksum         u64      FNV-1a over every preceding byte
 //
-// Every count is validated against the 32-bit id limits, every offset
-// against monotonicity and the pin count, and the file size against the
+// Every count is validated against the 32-bit id limits, each name blob
+// against the 32-bit name-offset limit, every offset against
+// monotonicity and the pin count, and the file size against the
 // exact total implied by the header before any array is materialized, so
 // a truncated or corrupted snapshot fails loudly instead of loading a
 // malformed hypergraph.  Versioning rule: any layout change bumps

@@ -161,35 +161,47 @@ void OrderingEngine::absorb(CellId u) {
   }
 }
 
-LinearOrdering OrderingEngine::grow(CellId seed) {
+void OrderingEngine::grow(CellId seed, LinearOrdering& out) {
   GTL_REQUIRE(seed < nl_->num_cells(), "seed out of range");
   if (nl_->is_fixed(seed)) {
     throw std::invalid_argument("ordering seed must be a movable cell");
   }
   reset();
 
-  LinearOrdering out;
-  out.seed = seed;
+  // Grow into a local that takes over out's buffers.  Appending through
+  // the reference instead made Phase I ~8% slower: absorb() might reach
+  // `out`, so its vectors' ends were reloaded around every call.
+  LinearOrdering grown = std::move(out);
+  grown.seed = seed;
+  grown.cells.clear();
+  grown.prefix_cut.clear();
+  grown.prefix_pins.clear();
   const std::size_t z =
       std::min<std::size_t>(cfg_.max_length, nl_->num_movable());
-  out.cells.reserve(z);
-  out.prefix_cut.reserve(z);
-  out.prefix_pins.reserve(z);
+  grown.cells.reserve(z);
+  grown.prefix_cut.reserve(z);
+  grown.prefix_pins.reserve(z);
 
   touched_cells_.push_back(seed);
   absorb(seed);
-  out.cells.push_back(seed);
-  out.prefix_cut.push_back(cut_);
-  out.prefix_pins.push_back(pins_in_group_);
+  grown.cells.push_back(seed);
+  grown.prefix_cut.push_back(cut_);
+  grown.prefix_pins.push_back(pins_in_group_);
 
-  while (out.cells.size() < z && !heap_.empty()) {
+  while (grown.cells.size() < z && !heap_.empty()) {
     const CellId u = cell_of(heap_.front());
     pop_top();
     absorb(u);
-    out.cells.push_back(u);
-    out.prefix_cut.push_back(cut_);
-    out.prefix_pins.push_back(pins_in_group_);
+    grown.cells.push_back(u);
+    grown.prefix_cut.push_back(cut_);
+    grown.prefix_pins.push_back(pins_in_group_);
   }
+  out = std::move(grown);
+}
+
+LinearOrdering OrderingEngine::grow(CellId seed) {
+  LinearOrdering out;
+  grow(seed, out);
   return out;
 }
 

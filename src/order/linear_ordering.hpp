@@ -58,9 +58,14 @@ class OrderingEngine {
   /// Requires cfg.max_length (Z) >= 1: every ordering holds its seed.
   explicit OrderingEngine(const Netlist& nl, OrderingConfig cfg = {});
 
-  /// Grow an ordering from `seed`.  Fixed cells are never absorbed and
+  /// Grow an ordering from `seed` into `out`, replacing its contents but
+  /// keeping its capacity, so a caller that reuses one buffer allocates
+  /// only for its first ordering.  Fixed cells are never absorbed and
   /// cannot seed (throws std::invalid_argument).  The ordering may be
   /// shorter than Z if the frontier empties (disconnected region).
+  void grow(CellId seed, LinearOrdering& out);
+
+  /// grow(seed, out) into a new ordering.
   [[nodiscard]] LinearOrdering grow(CellId seed);
 
   [[nodiscard]] const OrderingConfig& config() const { return cfg_; }

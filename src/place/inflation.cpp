@@ -20,11 +20,10 @@ Netlist inflate_cells(const Netlist& nl, std::span<const CellId> cells,
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     const double width =
         inflate[c] ? nl.cell_width(c) * area_factor : nl.cell_width(c);
-    nb.add_cell(std::string(nl.cell_name(c)), width, nl.cell_height(c),
-                nl.is_fixed(c));
+    nb.add_cell(nl.cell_name(c), width, nl.cell_height(c), nl.is_fixed(c));
   }
   for (NetId e = 0; e < nl.num_nets(); ++e) {
-    nb.add_net(nl.pins_of(e), std::string(nl.net_name(e)));
+    nb.add_net(nl.pins_of(e), nl.net_name(e));
   }
   return nb.build();
 }

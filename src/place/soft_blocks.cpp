@@ -21,11 +21,11 @@ Placement place_with_soft_blocks(const Netlist& nl,
   NetlistBuilder nb;
   nb.reserve(nl.num_cells() + groups.size(), nl.num_nets(), nl.num_pins());
   for (CellId c = 0; c < nl.num_cells(); ++c) {
-    nb.add_cell(std::string(nl.cell_name(c)), nl.cell_width(c),
-                nl.cell_height(c), nl.is_fixed(c));
+    nb.add_cell(nl.cell_name(c), nl.cell_width(c), nl.cell_height(c),
+                nl.is_fixed(c));
   }
   for (NetId e = 0; e < nl.num_nets(); ++e) {
-    nb.add_net(nl.pins_of(e), std::string(nl.net_name(e)));
+    nb.add_net(nl.pins_of(e), nl.net_name(e));
   }
   for (const auto& group : groups) {
     if (group.empty()) continue;

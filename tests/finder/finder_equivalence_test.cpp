@@ -111,6 +111,54 @@ TEST(FinderEquivalence, PhaseDecompositionMatchesRun) {
   expect_identical(via_run, stepped.refine_and_prune());
 }
 
+/// Trips the token once `k` orderings have grown.
+class TripAfterOrderings : public ProgressObserver {
+ public:
+  TripAfterOrderings(CancelToken* token, std::size_t k)
+      : token_(token), k_(k) {}
+  void on_ordering_grown(std::size_t done, std::size_t) override {
+    if (done >= k_) token_->request_cancel();
+  }
+
+ private:
+  CancelToken* token_;
+  std::size_t k_;
+};
+
+TEST(FinderEquivalence, CancelledRunMatchesCancelledSteppedRun) {
+  // run() extracts each ordering as soon as it grows; a trip in Phase I
+  // must still leave exactly the stepped path's partial result.
+  const PlantedGraph pg = make_graph(25);
+  FinderConfig cfg;
+  cfg.num_seeds = 20;
+  cfg.max_ordering_length = 900;
+  cfg.num_threads = 1;  // seeds run in order: exactly the first k grow
+  cfg.rng_seed = 28;    // two of the first 7 seeds give candidates
+  constexpr std::size_t kTripAt = 7;
+
+  CancelToken stepped_token;
+  TripAfterOrderings stepped_trip(&stepped_token, kTripAt);
+  Finder stepped(pg.netlist, cfg);
+  stepped.set_observer(&stepped_trip);
+  stepped.set_cancel_token(&stepped_token);
+  stepped.grow_orderings();
+  stepped.extract_candidates();
+  const FinderResult& via_steps = stepped.refine_and_prune();
+
+  CancelToken run_token;
+  TripAfterOrderings run_trip(&run_token, kTripAt);
+  Finder composed(pg.netlist, cfg);
+  composed.set_observer(&run_trip);
+  composed.set_cancel_token(&run_token);
+  const FinderResult& via_run = composed.run();
+
+  EXPECT_TRUE(via_run.cancelled);
+  EXPECT_EQ(via_run.orderings_grown, kTripAt);
+  EXPECT_EQ(via_run.candidates_before_refine, 2u);
+  EXPECT_TRUE(composed.orderings().orderings.empty());
+  expect_identical(via_steps, via_run);
+}
+
 TEST(FinderEquivalence, SessionDeterministicAcrossThreadCounts) {
   const PlantedGraph pg = make_graph(24);
   FinderConfig one;

@@ -323,6 +323,8 @@ TEST(FinderSession, RunReleasesOrderingsButSteppingKeepsThem) {
   // ...but the cheap bookkeeping survives.
   EXPECT_EQ(composed.orderings().num_completed(), 20u);
   EXPECT_EQ(composed.orderings().seeds.size(), 20u);
+  // With no orderings kept, Phase II cannot be stepped after run().
+  EXPECT_THROW((void)composed.extract_candidates(), std::logic_error);
 
   Finder stepped(pg.netlist, small_config());
   stepped.grow_orderings();

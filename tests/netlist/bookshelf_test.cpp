@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -163,6 +164,47 @@ TEST_F(BookshelfTest, UnnamedCellsGetStableGeneratedNames) {
   EXPECT_EQ(back.netlist.num_cells(), 2u);
   EXPECT_TRUE(back.netlist.find_cell("o0").has_value());
   EXPECT_TRUE(back.netlist.find_cell("o1").has_value());
+}
+
+TEST_F(BookshelfTest, PartiallyNamedDesignRoundTrips) {
+  // Cell 1 is unnamed, and a named cell owns its generated name o1: it is
+  // written under the first free o1_<k> (o1_1 is taken too), not as a
+  // second o1 that the reader would reject as a duplicate.
+  BookshelfDesign d;
+  NetlistBuilder nb;
+  nb.add_cell("o1");
+  nb.add_cell("");
+  nb.add_cell("c2", 2.0, 1.0, /*fixed=*/true);
+  nb.add_cell("o1_1");
+  nb.add_net({CellId{0}, CellId{1}, CellId{2}}, "n0");
+  nb.add_net({CellId{1}, CellId{3}});
+  d.netlist = nb.build();
+  d.x = {1.0, 2.0, 3.0, 4.0};
+  d.y = {5.0, 6.0, 7.0, 8.0};
+  write_bookshelf(d, dir_, "part");
+
+  BookshelfDesign back;
+  const Status st = try_read_bookshelf(dir_ / "part.aux", &back);
+  ASSERT_TRUE(st.is_ok()) << st.message();
+  const Netlist& nl = back.netlist;
+  ASSERT_EQ(nl.num_cells(), 4u);
+  EXPECT_EQ(nl.cell_name(0), "o1");
+  EXPECT_EQ(nl.cell_name(1), "o1_2");
+  EXPECT_EQ(nl.cell_name(2), "c2");
+  EXPECT_EQ(nl.cell_name(3), "o1_1");
+  EXPECT_TRUE(nl.is_fixed(2));
+  EXPECT_DOUBLE_EQ(nl.cell_width(2), 2.0);
+  ASSERT_EQ(nl.num_nets(), 2u);
+  EXPECT_EQ(nl.net_name(0), "n0");
+  EXPECT_EQ(nl.net_name(1), "");
+  for (NetId e = 0; e < nl.num_nets(); ++e) {
+    const auto want = d.netlist.pins_of(e);
+    const auto got = nl.pins_of(e);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+        << "net " << e;
+  }
+  EXPECT_EQ(back.x, d.x);
+  EXPECT_EQ(back.y, d.y);
 }
 
 }  // namespace

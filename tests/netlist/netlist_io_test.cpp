@@ -144,6 +144,36 @@ TEST_F(NetlistIoTest, RoundTripTinyHandBuiltNetlist) {
   EXPECT_EQ(back.netlist.net_name(0), "bus");
 }
 
+TEST_F(NetlistIoTest, SnapshotBytesMatchRecordedDigest) {
+  // A fixed design that fills every section of format v1: cell names
+  // (one of them empty), net names (one empty), a fixed cell and a
+  // placement.  The digest was recorded when each name was still its own
+  // std::string, so it pins that the packed names write the same bytes;
+  // any drift in the file layout changes it.
+  BookshelfDesign d;
+  NetlistBuilder nb;
+  nb.add_cell("in0", 2.0, 1.0, /*fixed=*/true);
+  nb.add_cell("", 1.0, 1.0);
+  nb.add_cell("u_alu/add_7", 3.5, 1.0);
+  nb.add_cell("z", 1.0, 2.0);
+  nb.add_net({CellId{0}, CellId{1}, CellId{2}}, "n_bus");
+  nb.add_net({CellId{1}, CellId{3}});
+  nb.add_net({CellId{2}, CellId{3}, CellId{0}}, "clk");
+  d.netlist = nb.build();
+  d.x = {0.0, 10.5, -3.25, 7.0};
+  d.y = {1.0, 2.0, 3.0, 4.5};
+  write_snapshot(d, dir_ / "golden.snap");
+  const std::string bytes = slurp(dir_ / "golden.snap");
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 over the file
+  for (const char ch : bytes) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(bytes.size(), 303u);
+  EXPECT_EQ(h, 0xbb95b271a04db38eull);
+  expect_identical(d, read_snapshot(dir_ / "golden.snap"));
+}
+
 TEST_F(NetlistIoTest, SnapshotOfSnapshotIsByteIdentical) {
   const BookshelfDesign d = make_design(true, true);
   write_snapshot(d, dir_ / "s1.snap");
@@ -229,6 +259,13 @@ TEST_F(NetlistIoTest, DeclaredNameBlobBeyondFileRejected) {
         std::memcpy(b->data() + 48, &huge, sizeof(huge));  // cell_name_bytes
       },
       "name blob exceeds");
+  // Past 2^32 - 1 bytes a blob cannot be indexed by 32-bit offsets.
+  expect_mutant_rejected(
+      [](std::string* b) {
+        const std::uint64_t huge = 0x00000001'00000000ull;  // 2^32
+        std::memcpy(b->data() + 56, &huge, sizeof(huge));  // net_name_bytes
+      },
+      "32-bit name-offset limit");
 }
 
 TEST_F(NetlistIoTest, InconsistentOffsetsRejected) {

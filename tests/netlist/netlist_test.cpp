@@ -102,6 +102,28 @@ TEST(Netlist, NameLookup) {
   EXPECT_FALSE(nl.find_cell("gamma").has_value());
 }
 
+TEST(Netlist, FindCellSkipsEmptyAndNetOnlyNames) {
+  NetlistBuilder nb;
+  nb.add_cell("");  // names start after an unnamed cell
+  nb.add_cell("a");
+  nb.add_cell("c");
+  nb.add_cell("a");  // a duplicate: the lower id is found
+  nb.add_net({CellId{0}, CellId{1}});
+  nb.add_net({CellId{1}, CellId{2}}, "bus");
+  const Netlist nl = nb.build();
+  ASSERT_TRUE(nl.has_names());
+  EXPECT_EQ(nl.cell_name(0), "");
+  EXPECT_EQ(nl.cell_name(1), "a");
+  EXPECT_EQ(nl.cell_name(3), "a");
+  EXPECT_EQ(nl.net_name(0), "");
+  EXPECT_EQ(nl.net_name(1), "bus");
+  EXPECT_FALSE(nl.find_cell("").has_value());     // cell 0's name is ""
+  EXPECT_FALSE(nl.find_cell("bus").has_value());  // only a net has it
+  EXPECT_EQ(nl.find_cell("a"), std::optional<CellId>(1));
+  EXPECT_EQ(nl.find_cell("c"), std::optional<CellId>(2));
+  EXPECT_FALSE(nl.find_cell("b").has_value());
+}
+
 TEST(Netlist, UnnamedNetlistHasNoNames) {
   NetlistBuilder nb;
   nb.add_cell();
