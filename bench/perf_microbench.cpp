@@ -188,7 +188,7 @@ void BM_RefineCandidate(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(41);
     const Candidate refined = refine_candidate(
-        pg.netlist, initial, engine, group, arena, ctx, ScoreKind::kNgtlS,
+        pg.netlist, initial, engine, arena, ctx, ScoreKind::kNgtlS,
         RefineConfig{}, MinimumConfig{}, CurveConfig{}, rng);
     benchmark::DoNotOptimize(refined.score);
   }

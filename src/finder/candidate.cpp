@@ -8,17 +8,17 @@
 namespace gtl {
 namespace {
 
-/// Shared tail of score_members / score_sorted_members: `c.cells` is
-/// already populated (sorted), `group` already holds the members.
-Candidate finish_scored(Candidate c, std::size_t num_members,
-                        const GroupConnectivity& group,
+/// Shared tail of the scoring entry points: `c.cells` is already
+/// populated (sorted); `cut` and `pins` are the members' T(C) and pins(C).
+/// A_C is GroupConnectivity::avg_pins_per_cell's division on the same
+/// values, so every entry point gives the same bytes.
+Candidate finish_scored(Candidate c, std::int64_t cut, std::uint64_t pins,
                         const ScoreContext& ctx, ScoreKind kind) {
-  c.cut = group.cut();
-  c.avg_pins = group.avg_pins_per_cell();
-  const auto cut = static_cast<double>(c.cut);
-  const auto size = static_cast<double>(num_members);
-  c.ngtl_s = ngtl_score(cut, size, ctx);
-  c.gtl_sd = gtl_sd_score(cut, size, c.avg_pins, ctx);
+  const auto size = static_cast<double>(c.cells.size());
+  c.cut = cut;
+  c.avg_pins = static_cast<double>(pins) / size;
+  c.ngtl_s = ngtl_score(static_cast<double>(cut), size, ctx);
+  c.gtl_sd = gtl_sd_score(static_cast<double>(cut), size, c.avg_pins, ctx);
   c.score = kind == ScoreKind::kNgtlS ? c.ngtl_s : c.gtl_sd;
   c.rent_exponent_used = ctx.rent_exponent;
   return c;
@@ -35,20 +35,19 @@ Candidate score_members(std::span<const CellId> members,
   Candidate c;
   c.cells.assign(members.begin(), members.end());
   std::sort(c.cells.begin(), c.cells.end());
-  return finish_scored(std::move(c), members.size(), group, ctx, kind);
+  return finish_scored(std::move(c), group.cut(), group.pins_in_group(), ctx,
+                       kind);
 }
 
-Candidate score_sorted_members(std::span<const CellId> members,
-                               GroupConnectivity& group,
-                               const ScoreContext& ctx, ScoreKind kind) {
+Candidate scored_candidate(std::span<const CellId> members, std::int64_t cut,
+                           std::uint64_t pins, const ScoreContext& ctx,
+                           ScoreKind kind) {
   GTL_REQUIRE(!members.empty(), "cannot score an empty group");
   assert(std::is_sorted(members.begin(), members.end()) &&
-         "score_sorted_members requires members sorted by cell id");
-  group.assign(members);
-
+         "members must be sorted by cell id");
   Candidate c;
   c.cells.assign(members.begin(), members.end());
-  return finish_scored(std::move(c), members.size(), group, ctx, kind);
+  return finish_scored(std::move(c), cut, pins, ctx, kind);
 }
 
 std::optional<Candidate> extract_candidate(const Netlist& nl,

@@ -36,16 +36,17 @@ struct Candidate {
                                       const ScoreContext& ctx,
                                       ScoreKind kind);
 
-/// score_members for a member list that is ALREADY sorted by cell id —
-/// the refine hot path, where every genetic-family list is sorted by
-/// construction (set algebra over sorted inputs).  Skips the defensive
-/// sort; asserts the precondition in debug builds.  Bitwise-identical to
-/// score_members on sorted input (sorting unique sorted ids is the
-/// identity).
-[[nodiscard]] Candidate score_sorted_members(std::span<const CellId> members,
-                                             GroupConnectivity& group,
-                                             const ScoreContext& ctx,
-                                             ScoreKind kind);
+/// The Candidate for a member list ALREADY sorted by cell id whose T(C)
+/// and pins(C) are known (OrderingEngine::measure gives both), filling
+/// every field except `seed`: A_C = pins / |C| and the same scoring calls
+/// as score_members, so the bytes equal its result on the same members.
+/// The refine hot path, where every genetic-family list is sorted by
+/// construction (set algebra over sorted inputs); asserts the order in
+/// debug builds.
+[[nodiscard]] Candidate scored_candidate(std::span<const CellId> members,
+                                         std::int64_t cut, std::uint64_t pins,
+                                         const ScoreContext& ctx,
+                                         ScoreKind kind);
 
 /// Phase II: extract a candidate from an ordering, or nullopt when its
 /// score curve has no clear minimum (seed was outside any GTL).

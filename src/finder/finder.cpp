@@ -109,12 +109,6 @@ OrderingEngine& Finder::engine_for(std::size_t worker) {
   return *ws.engine;
 }
 
-GroupConnectivity& Finder::group_for(std::size_t worker) {
-  WorkerScratch& ws = scratch_[worker];
-  if (!ws.group) ws.group = std::make_unique<GroupConnectivity>(*nl_);
-  return *ws.group;
-}
-
 void Finder::notify_phase_start(FinderPhase phase, std::size_t work_items) {
   // Called between dispatches (no workers running), so the relaxed reset
   // cannot race with the per-item increments below.
@@ -326,21 +320,23 @@ const FinderResult& Finder::refine_and_prune() {
       if (honor_token && cancel_requested()) return;
       if (cfg_.refine_seeds == 0) {
         // Candidate member lists are sorted by construction (Phase II
-        // sorts every extraction), so the defensive re-sort is skipped.
-        Candidate c = score_sorted_members(initial[i].cells, group_for(w),
-                                           result_.context, cfg_.score);
+        // sorts every extraction), as scored_candidate requires.
+        const std::vector<CellId>& cells = initial[i].cells;
+        const GroupMeasure m = engine_for(w).measure(cells);
+        Candidate c =
+            scored_candidate(cells, m.cut, m.pins, result_.context, cfg_.score);
         c.seed = initial[i].seed;
         refined[i] = std::move(c);
       } else {
         // The refine path runs entirely on this worker's reused scratch:
-        // the session tracker (no O(nets+cells) GroupConnectivity build
-        // per candidate) and the family arena.  The RNG still derives
-        // from the item index, so results are schedule-independent.
+        // its engine (re-growths and the family's measures) and the
+        // family arena.  The RNG still derives from the item index, so
+        // results are schedule-independent.
         Rng rng(mix_seed(cfg_.rng_seed, 0x5EEDBEEF + i));
         refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
-                                      group_for(w), scratch_[w].arena,
-                                      result_.context, cfg_.score, rcfg,
-                                      MinimumConfig{}, CurveConfig{}, rng);
+                                      scratch_[w].arena, result_.context,
+                                      cfg_.score, rcfg, MinimumConfig{},
+                                      CurveConfig{}, rng);
       }
       refine_done[i] = 1;
       notify_candidate_refined(n);

@@ -15,22 +15,26 @@
 //     cooperative CancelToken at seed granularity, returning partial
 //     results whose completed seeds are byte-identical to a full run;
 //
-//   * owns reusable per-worker scratch (ThreadPool, OrderingEngines,
-//     GroupConnectivity trackers), so repeated run() calls on the same
-//     netlist skip thread spawn and O(|V|) allocations — the win for
-//     repeated-query serving is perfbench's finder.cold_penalty_ms.
+//   * owns reusable scratch: a ThreadPool and, per worker, one
+//     OrderingEngine (8 B per cell and 4 B per net; it grows Phase I's
+//     orderings and Phase III's re-growths and measures Phase III's
+//     family members), the curve buffers and the refine arena.  Repeated
+//     run() calls on the same netlist skip thread spawn and O(|V|)
+//     allocations — the win for repeated-query serving is perfbench's
+//     finder.cold_penalty_ms.
 //
 // Lifetimes: the session borrows the Netlist (and, if set, the observer
 // and cancel token); all must outlive the Finder.  A session is bound to
-// one netlist and one validated config; sessions are cheap, make a new
-// one to change either.  Finder is not thread-safe — one session per
-// serving thread — but different sessions never share state.
+// one netlist and one validated config, of which only rng_seed may
+// change (set_rng_seed); make a new session to change anything else.
+// Finder is not thread-safe — one session per serving thread — but
+// different sessions never share state.
 //
 // Determinism: results depend only on FinderConfig (notably rng_seed),
 // never on num_threads, on which worker ran which work item, or on how
-// many times the session has been reused.  Every work item writes only
-// its own slot and derives its RNG from its index (pinned by
-// tests/finder/finder_scheduling_test.cpp).
+// many times (or under which earlier seeds) the session has been
+// reused.  Every work item writes only its own slot and derives its RNG
+// from its index (pinned by tests/finder/finder_scheduling_test.cpp).
 
 #include <atomic>
 #include <cstdint>
@@ -159,6 +163,17 @@ class Finder {
   /// Cooperate with cancellation (nullptr disables).  Sticky across runs.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
+  /// Re-seed the session: the next run equals that of a fresh session
+  /// built with this seed (the workspace holds nothing that depends on
+  /// it).  The current run's artifacts become unavailable and
+  /// cancelled() reads false, as before a first run, so the stepped
+  /// phases start again at grow_orderings().
+  void set_rng_seed(std::uint64_t seed) {
+    cfg_.rng_seed = seed;
+    stage_ = Stage::kIdle;
+    cancelled_ = false;
+  }
+
   // --- the phase-decomposed pipeline ---
 
   /// Phase I: select seeds and grow one linear ordering per seed.
@@ -210,7 +225,6 @@ class Finder {
   /// across items and runs cannot change results.
   struct WorkerScratch {
     std::unique_ptr<OrderingEngine> engine;
-    std::unique_ptr<GroupConnectivity> group;
     /// Phase II curve buffers (selected-Φ values + shared ln tables).
     CurveScratch curve;
     /// Phase III genetic-family merge buffers, inner-regrowth ordering
@@ -244,7 +258,6 @@ class Finder {
     return cancel_ != nullptr && cancel_->cancel_requested();
   }
   [[nodiscard]] OrderingEngine& engine_for(std::size_t worker);
-  [[nodiscard]] GroupConnectivity& group_for(std::size_t worker);
 
   void notify_phase_start(FinderPhase phase, std::size_t work_items)
       GTL_EXCLUDES(observer_mu_);

@@ -9,9 +9,9 @@
 namespace gtl {
 
 Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
-                           OrderingEngine& engine, GroupConnectivity& group,
-                           RefineArena& arena, const ScoreContext& ctx,
-                           ScoreKind kind, const RefineConfig& cfg,
+                           OrderingEngine& engine, RefineArena& arena,
+                           const ScoreContext& ctx, ScoreKind kind,
+                           const RefineConfig& cfg,
                            const MinimumConfig& min_cfg,
                            const CurveConfig& curve_cfg, Rng& rng) {
   GTL_REQUIRE(!initial.cells.empty(), "cannot refine an empty candidate");
@@ -56,16 +56,19 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
     }
   }
 
-  // Φ of a member list, evaluated in place on the caller's tracker: the
-  // same assign + scoring calls score_members makes, minus the Candidate
-  // (copy of the cells) it would materialize for every loser.
-  const auto phi = [&group, &ctx, kind](std::span<const CellId> members) {
-    group.assign(members);
-    const auto cut = static_cast<double>(group.cut());
+  // Φ of a member list from the engine's measure: the scoring calls
+  // scored_candidate makes, minus the Candidate (copy of the cells) it
+  // would materialize for every loser.
+  const auto phi = [&engine, &ctx, kind](std::span<const CellId> members) {
+    const GroupMeasure m = engine.measure(members);
+    const auto cut = static_cast<double>(m.cut);
     const auto size = static_cast<double>(members.size());
-    return kind == ScoreKind::kNgtlS
-               ? ngtl_score(cut, size, ctx)
-               : gtl_sd_score(cut, size, group.avg_pins_per_cell(), ctx);
+    if (kind == ScoreKind::kNgtlS) return ngtl_score(cut, size, ctx);
+    // A_C of the empty set is 0, as the metrics module defines it; a
+    // zero size floor lets that set into the family.
+    const double avg_pins =
+        members.empty() ? 0.0 : static_cast<double>(m.pins) / size;
+    return gtl_sd_score(cut, size, avg_pins, ctx);
   };
 
   // Pick the family member with minimum Φ (respecting the size floor).
@@ -89,7 +92,8 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
   const std::span<const CellId> winner =
       best_idx == kInitial ? std::span<const CellId>(initial.cells)
                            : std::span<const CellId>(arena.lists[best_idx]);
-  Candidate best = score_sorted_members(winner, group, ctx, kind);
+  const GroupMeasure m = engine.measure(winner);
+  Candidate best = scored_candidate(winner, m.cut, m.pins, ctx, kind);
   best.seed = initial.seed;
   return best;
 }

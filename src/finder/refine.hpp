@@ -41,17 +41,17 @@ struct RefineArena {
   CurveScratch curve;
 };
 
-/// Refine one candidate. `engine` supplies Phase I re-growths; `group`
-/// and `arena` are caller-owned scratch (reused across candidates — the
-/// zero-alloc steady state); `ctx` is the shared scoring context so
-/// family members are comparable.  Precondition: `initial.cells` is
-/// sorted by cell id (every Candidate producer sorts).  Only the winning
-/// family member is materialized into a Candidate; losers are scored in
-/// place on `group` with no copies, sorts, or allocation.
+/// Refine one candidate.  `engine` supplies the Phase I re-growths and,
+/// between them, measures every family member's T(C) and pins(C), which
+/// is all Φ needs; `arena` is caller-owned scratch (reused across
+/// candidates — the zero-alloc steady state); `ctx` is the shared scoring
+/// context so family members are comparable.  Precondition:
+/// `initial.cells` is sorted by cell id (every Candidate producer sorts).
+/// Only the winning family member is materialized into a Candidate;
+/// losers are scored in place with no copies, sorts, or allocation.
 [[nodiscard]] Candidate refine_candidate(const Netlist& nl,
                                          const Candidate& initial,
                                          OrderingEngine& engine,
-                                         GroupConnectivity& group,
                                          RefineArena& arena,
                                          const ScoreContext& ctx,
                                          ScoreKind kind,

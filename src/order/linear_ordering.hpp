@@ -21,6 +21,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -51,11 +52,21 @@ struct LinearOrdering {
   std::vector<std::uint64_t> prefix_pins;
 };
 
+/// T(C) and pins(C) of an explicit member set (see OrderingEngine::measure).
+struct GroupMeasure {
+  std::int64_t cut = 0;    ///< T(C)
+  std::uint64_t pins = 0;  ///< Σ degree(c) over C (numerator of A_C)
+};
+
 /// Reusable Phase I engine.  One engine per thread; `grow` may be called
-/// any number of times (state is reset in O(touched) between runs).
+/// any number of times.  Its fixed state is 8 bytes per cell and 4 per
+/// net, and every grow leaves it clean: on exit (a throw included) it
+/// resets what it touched, through the cells it absorbed and the frontier
+/// left in its heap.
 class OrderingEngine {
  public:
   /// Requires cfg.max_length (Z) >= 1: every ordering holds its seed.
+  /// Requires every net to have fewer than 2^31 pins.
   explicit OrderingEngine(const Netlist& nl, OrderingConfig cfg = {});
 
   /// Grow an ordering from `seed` into `out`, replacing its contents but
@@ -68,6 +79,14 @@ class OrderingEngine {
   /// grow(seed, out) into a new ordering.
   [[nodiscard]] LinearOrdering grow(CellId seed);
 
+  /// T(C) and pins(C) of `members`, which must be distinct cells (fixed
+  /// ones allowed): the values GroupConnectivity::assign(members) gives
+  /// as cut() and pins_in_group().  Applies absorb's net-word update to
+  /// every member's nets, then restores the words, so the engine is left
+  /// as it was.  Valid only between grows (the engine is clean then);
+  /// Phase III scores its genetic family with it.
+  [[nodiscard]] GroupMeasure measure(std::span<const CellId> members);
+
   [[nodiscard]] const OrderingConfig& config() const { return cfg_; }
 
  private:
@@ -75,22 +94,22 @@ class OrderingEngine {
   static constexpr std::uint32_t kInGroup = 0xFFFF'FFFEu;
   static constexpr std::uint32_t kFixed = 0xFFFF'FFFFu;
 
-  /// One 8-byte record per cell, so a pin visit loads one cache line.
-  /// `slot` is the cell's frontier heap slot or one of the sentinels
-  /// above.  `base_delta` is the cut delta the cell has while none of
-  /// its active nets holds a group pin: the number of its nets with
-  /// 2 <= |f| (and |f| < threshold when the threshold is on).
-  struct CellState {
-    std::uint32_t slot = kUntouched;
-    std::int32_t base_delta = 0;
-  };
+  /// Net word: the low 31 bits count the net's pins outside the group
+  /// (λ), the top bit says the net has a pin in the group.  A clean word
+  /// is the net's size.
+  static constexpr std::uint32_t kHasGroupPin = 0x8000'0000u;
+  static constexpr std::uint32_t kOutsideMask = 0x7FFF'FFFFu;
 
-  /// One 8-byte record per net: |e| and the number of its pins in the
-  /// group.
-  struct NetState {
-    std::uint32_t size = 0;
-    std::uint32_t k = 0;
-  };
+  /// Move one pin of a net into the group: update its word and return
+  /// the change of T(C) — +1 when the net gains its first group pin, −1
+  /// when its last outside pin goes in (a 1-pin net nets to 0).
+  static std::int64_t take_pin(std::uint32_t& word) {
+    const std::uint32_t outside = word & kOutsideMask;
+    const auto delta = static_cast<std::int64_t>(word < kHasGroupPin) -
+                       static_cast<std::int64_t>(outside == 1);
+    word = (outside - 1) | kHasGroupPin;
+    return delta;
+  }
 
   /// A frontier cell's gains and id packed into one unsigned 128-bit key
   /// whose integer order is the rank order (paper I.7: highest conn
@@ -131,13 +150,16 @@ class OrderingEngine {
     return ~static_cast<CellId>(e);
   }
 
-  void reset();
   void absorb(CellId u);
+  /// Reset the words of `cells`' nets to their clean value.
+  void restore_nets(std::span<const CellId> cells);
+  /// Return to the clean state after a grow that absorbed `absorbed`.
+  void clear(std::span<const CellId> absorbed);
 
-  // Frontier: a 4-ary heap of entries whose slots live in cells_.
+  // Frontier: a 4-ary heap of entries whose slots live in slot_.
   void place(std::uint32_t at, FrontierEntry e) {
     heap_[at] = e;
-    cells_[cell_of(e)].slot = at;
+    slot_[cell_of(e)] = at;
   }
   void sift_up(std::uint32_t at, FrontierEntry e);
   void sift_down(std::uint32_t at, FrontierEntry e);
@@ -146,12 +168,17 @@ class OrderingEngine {
   const Netlist* nl_;
   OrderingConfig cfg_;
 
-  // Reset via the touched lists between runs.
-  std::vector<CellState> cells_;
-  std::vector<NetState> nets_;
+  /// Per cell: its frontier heap slot or one of the sentinels above.  A
+  /// pin visit loads only this word.
+  std::vector<std::uint32_t> slot_;
+  /// Per cell, constant: the cut delta the cell has while none of its
+  /// active nets holds a group pin — the number of its nets with
+  /// 2 <= |f| (and |f| < threshold when the threshold is on).  Read when
+  /// the cell is discovered.
+  std::vector<std::int32_t> base_delta_;
+  /// Per net: the word described at kHasGroupPin.
+  std::vector<std::uint32_t> net_;
   std::vector<FrontierEntry> heap_;
-  std::vector<CellId> touched_cells_;
-  std::vector<NetId> touched_nets_;
   std::int64_t cut_ = 0;
   std::uint64_t pins_in_group_ = 0;
 };

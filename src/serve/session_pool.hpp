@@ -1,13 +1,19 @@
 #pragma once
 // Pool of reusable Finder sessions for one loaded design.
 //
-// A Finder session owns sizable workspace (ordering buffers, refine
-// scratch, candidate pools) that is reusable across runs; the pool keeps
-// finished sessions warm so repeated queries against the same design
-// skip the allocation storm.  Sessions are keyed by a config fingerprint
-// (the key-sorted JSON dump of the FinderConfig): a session can only be
-// reused for the exact config it was built with, because Finder
-// validates and binds its config at construction.
+// A Finder session owns sizable workspace (a thread pool, per-worker
+// ordering engines, curve and refine scratch) that is reusable across
+// runs; the pool keeps finished sessions warm so repeated queries
+// against the same design skip the allocation storm.  Sessions are keyed
+// by a config fingerprint: the key-sorted JSON dump of the FinderConfig
+// with rng_seed cleared.  A Finder binds its config at construction, but
+// its seed can change (Finder::set_rng_seed), so one warm session serves
+// every seed of a config; acquire re-seeds it on checkout.
+//
+// At most `max_idle` sessions stay parked per design, across all
+// configs.  When a returned session finds the pool full, the least
+// recently parked one is evicted to make room, and a checkout takes the
+// most recently parked match — so the configs in current use stay warm.
 //
 // Ownership: each registry entry (design_registry.hpp) owns the pool of
 // its netlist, and every Lease holds the entry — so a design evicted or
@@ -15,14 +21,13 @@
 // until the last lease drops.  A reloaded name is a new entry with an
 // empty pool, so it never leases a session bound to the old netlist.  A
 // Finder session is NOT thread-safe; a Lease hands exclusive ownership
-// to one serving thread and returns the session on destruction (up to
-// `max_idle` kept, the rest destroyed).
+// to one serving thread and returns the session on destruction.
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "finder/finder.hpp"
 #include "util/status.hpp"
@@ -68,14 +73,16 @@ class SessionLease {
 
 class SessionPool {
  public:
-  /// `max_idle` bounds warm sessions kept across all configs.
+  /// `max_idle` bounds warm sessions kept across all configs (0 keeps
+  /// none).
   explicit SessionPool(std::size_t max_idle) : max_idle_(max_idle) {}
 
   /// Check out a session of `entry`'s pool for `cfg`: a warm one when
-  /// the fingerprint matches (*reused = true), else a freshly
-  /// constructed one bound to `entry`'s netlist.  Fails
-  /// (kInvalidArgument) when the config does not validate — the service
-  /// rejection path; nothing is constructed on failure.
+  /// the fingerprint matches (*reused = true), re-seeded to
+  /// cfg.rng_seed, else a freshly constructed one bound to `entry`'s
+  /// netlist.  Fails (kInvalidArgument) when the config does not
+  /// validate — the service rejection path; nothing is constructed on
+  /// failure.
   [[nodiscard]] static Status acquire(std::shared_ptr<const DesignEntry> entry,
                                       const FinderConfig& cfg,
                                       SessionLease* out, bool* reused);
@@ -83,20 +90,28 @@ class SessionPool {
  private:
   friend class SessionLease;
 
-  /// Unpark a session built for `fingerprint`, or null.
+  struct Parked {
+    std::string fingerprint;
+    std::unique_ptr<Finder> finder;
+  };
+
+  /// Unpark the most recently parked session for `fingerprint`, or null.
   std::unique_ptr<Finder> take(const std::string& fingerprint)
       GTL_EXCLUDES(mu_);
+  /// Park a returned session, evicting the least recently parked one
+  /// when `max_idle_` are parked already.
   void put_back(std::unique_ptr<Finder> finder, std::string fingerprint)
       GTL_EXCLUDES(mu_);
 
   const std::size_t max_idle_;
   Mutex mu_;
-  /// fingerprint -> parked sessions for that exact config.
-  std::multimap<std::string, std::unique_ptr<Finder>> idle_ GTL_GUARDED_BY(mu_);
+  /// Parked sessions, least recently parked first.
+  std::vector<Parked> idle_ GTL_GUARDED_BY(mu_);
 };
 
-/// The pooling key: key-sorted compact JSON of the config, so two
-/// configs fingerprint equal iff every field is equal.
+/// The pooling key: key-sorted compact JSON of the config with rng_seed
+/// cleared, so two configs fingerprint equal iff every other field is
+/// equal.
 [[nodiscard]] std::string config_fingerprint(const FinderConfig& cfg);
 
 }  // namespace gtl::serve

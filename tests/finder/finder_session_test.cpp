@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "finder/expect_identical.hpp"
 #include "finder/finder.hpp"
 #include "graphgen/planted_graph.hpp"
 #include "util/rng.hpp"
@@ -341,6 +343,44 @@ TEST(FinderSession, InvalidConfigRejectedAtConstruction) {
   bad.max_ordering_length = 0;
   ASSERT_FALSE(bad.validate().is_ok());
   EXPECT_THROW(Finder(pg.netlist, bad), std::logic_error);
+}
+
+TEST(FinderSession, ReseededSessionMatchesFreshSession) {
+  // A server keeps one warm session per config and re-seeds it for each
+  // query, so a re-seeded session must answer exactly as a fresh one.
+  const PlantedGraph pg = make_graph(41);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    FinderConfig at_a = small_config();
+    at_a.num_threads = threads;
+    FinderConfig at_b = at_a;
+    at_b.rng_seed = at_a.rng_seed + 1;
+
+    Finder session(pg.netlist, at_a);
+    const FinderResult first = session.run();
+
+    session.set_rng_seed(at_b.rng_seed);
+    EXPECT_EQ(session.config().rng_seed, at_b.rng_seed);
+    EXPECT_FALSE(session.has_result());  // the seed-A artifacts are gone
+    Finder fresh_b(pg.netlist, at_b);
+    testing::expect_identical(session.run(), fresh_b.run());
+
+    // A cancelled run under a third seed leaves no trace.
+    CancelToken token;
+    CancelAfterSeeds trip(&token, 3);
+    session.set_rng_seed(at_a.rng_seed + 2);
+    session.set_observer(&trip);
+    session.set_cancel_token(&token);
+    EXPECT_TRUE(session.run().cancelled);
+    EXPECT_TRUE(session.cancelled());
+    session.set_observer(nullptr);
+    session.set_cancel_token(nullptr);
+
+    session.set_rng_seed(at_a.rng_seed);
+    EXPECT_FALSE(session.cancelled());  // as in a fresh session
+    EXPECT_FALSE(session.has_result());
+    testing::expect_identical(session.run(), first);
+  }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(Refine, ImprovesSloppyCandidate) {
   Rng rng(9);
   RefineArena arena;
   const Candidate refined =
-      refine_candidate(f.pg.netlist, initial, engine, group, arena, f.ctx,
+      refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
                        ScoreKind::kGtlSd, {}, {}, {}, rng);
   EXPECT_LE(refined.score, initial.score);
   const auto rec = recovery_stats(f.pg.gtl_members[0], refined.cells);
@@ -72,7 +72,7 @@ TEST(Refine, NeverWorsensScore) {
   Rng rng(10);
   RefineArena arena;
   const Candidate refined =
-      refine_candidate(f.pg.netlist, initial, engine, group, arena, f.ctx,
+      refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
                        ScoreKind::kGtlSd, {}, {}, {}, rng);
   EXPECT_LE(refined.score, initial.score + 1e-12);
 }
@@ -88,7 +88,7 @@ TEST(Refine, KeepsSeedAttribution) {
   Rng rng(11);
   RefineArena arena;
   const Candidate refined =
-      refine_candidate(f.pg.netlist, initial, engine, group, arena, f.ctx,
+      refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
                        ScoreKind::kGtlSd, {}, {}, {}, rng);
   EXPECT_EQ(refined.seed, 1234u);
 }

@@ -6,9 +6,10 @@
 //     tables) vs the allocating three-curve reference;
 //   * extract_candidate's scratch overload vs a reference extraction
 //     reading every field off the reference curve;
-//   * refine_candidate (worker-scratch tracker + family arena, losers
-//     scored without materialization) vs the allocating reference that
-//     builds a fresh GroupConnectivity and a fresh vector per set-op.
+//   * refine_candidate (family arena, every member measured by the
+//     ordering engine, losers scored without materialization) vs the
+//     allocating reference that builds a fresh GroupConnectivity and a
+//     fresh vector per set-op — an oracle for the engine's measure.
 //
 // "Equal" below always means exact double equality — these are meant to
 // be the same arithmetic, not approximately the same answer.
@@ -312,7 +313,6 @@ TEST(RefineEquivalence, ArenaRefineMatchesAllocatingReference) {
                             {.max_length = 1'200, .large_net_threshold = 20});
   OrderingEngine fast_engine(w.pg.netlist,
                              {.max_length = 1'200, .large_net_threshold = 20});
-  GroupConnectivity group(w.pg.netlist);
   RefineArena arena;  // shared across candidates: reuse must not leak
 
   for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
@@ -330,8 +330,8 @@ TEST(RefineEquivalence, ArenaRefineMatchesAllocatingReference) {
             w.pg.netlist, *initial, ref_engine, ctx, kind, rcfg, {}, {},
             ref_rng);
         const Candidate got = refine_candidate(
-            w.pg.netlist, *initial, fast_engine, group, arena, ctx, kind,
-            rcfg, {}, {}, fast_rng);
+            w.pg.netlist, *initial, fast_engine, arena, ctx, kind, rcfg, {},
+            {}, fast_rng);
         expect_candidate_identical(got, want, "refine");
       }
     }

@@ -307,5 +307,81 @@ TEST(LinearOrdering, MinCutFirstStillCoversGraph) {
   }
 }
 
+/// A random netlist with the engine's corner cases: 1-pin nets on movable
+/// cells and on a fixed pad, the pad on shared nets, and nets both under
+/// and over the large-net threshold.
+Netlist pad_and_one_pin_netlist(std::uint32_t num_movable, std::uint64_t seed) {
+  NetlistBuilder nb;
+  for (std::uint32_t c = 0; c < num_movable; ++c) nb.add_cell();
+  const CellId pad = nb.add_cell("pad", 1, 1, /*fixed=*/true);
+  Rng rng(seed);
+  for (CellId c = 0; c + 1 < num_movable; ++c) nb.add_net({c, c + 1});
+  for (std::uint32_t i = 0; i < num_movable / 2; ++i) {
+    const auto size = static_cast<std::uint32_t>(3 + rng.next_below(4));
+    const std::vector<std::uint32_t> pins =
+        rng.sample_distinct(num_movable, size);
+    nb.add_net(std::vector<CellId>(pins.begin(), pins.end()));
+  }
+  for (CellId c = 0; c < num_movable; c += 7) nb.add_net({c});
+  nb.add_net({pad});
+  for (CellId c = 0; c < num_movable; c += 50) nb.add_net({pad, c});
+  std::vector<CellId> wide = {pad};
+  for (const std::uint32_t c : rng.sample_distinct(num_movable, 40)) {
+    wide.push_back(c);
+  }
+  nb.add_net(wide);
+  return nb.build();
+}
+
+TEST(LinearOrdering, MeasureMatchesGroupConnectivity) {
+  // measure() is Phase III's scorer: it must give GroupConnectivity's
+  // T(C) and pins(C) for any set of distinct cells, and leave the engine
+  // as clean as it found it.
+  PlantedGraphConfig cfg;
+  cfg.num_cells = 6'000;
+  cfg.gtls.push_back({600, 2});
+  cfg.gtls.push_back({300, 2});
+  Rng graph_rng(2026);
+  const PlantedGraph pg = generate_planted_graph(cfg, graph_rng);
+  const Netlist quirky = pad_and_one_pin_netlist(2'400, 5);
+
+  for (const Netlist* nl : {&pg.netlist, &quirky}) {
+    std::vector<CellId> movable;
+    for (CellId c = 0; c < nl->num_cells(); ++c) {
+      if (!nl->is_fixed(c)) movable.push_back(c);
+    }
+    const OrderingConfig ocfg{.max_length = 1'500, .large_net_threshold = 20};
+    OrderingEngine engine(*nl, ocfg);
+    GroupConnectivity group(*nl);
+    (void)engine.grow(movable[0]);  // measures follow grows in Phase III
+
+    Rng rng(77);
+    const auto num_movable = static_cast<std::uint32_t>(movable.size());
+    for (int i = 0; i < 100; ++i) {
+      const auto size = static_cast<std::uint32_t>(1 + rng.next_below(2'000));
+      std::vector<CellId> members;
+      for (const std::uint32_t idx : rng.sample_distinct(num_movable, size)) {
+        members.push_back(movable[idx]);
+      }
+      const GroupMeasure m = engine.measure(members);
+      group.assign(members);
+      ASSERT_EQ(m.cut, group.cut()) << "measure " << i;
+      ASSERT_EQ(m.pins, group.pins_in_group()) << "measure " << i;
+    }
+
+    // The measures left no trace: the engine grows what a fresh one does.
+    OrderingEngine fresh(*nl, ocfg);
+    const CellId seeds[] = {movable[0], movable[num_movable / 2],
+                            movable.back()};
+    for (const CellId seed : seeds) {
+      const LinearOrdering got = engine.grow(seed);
+      const LinearOrdering want = fresh.grow(seed);
+      EXPECT_EQ(got.cells, want.cells) << "seed " << seed;
+      EXPECT_EQ(got.prefix_cut, want.prefix_cut) << "seed " << seed;
+      EXPECT_EQ(got.prefix_pins, want.prefix_pins) << "seed " << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gtl

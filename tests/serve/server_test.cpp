@@ -257,6 +257,80 @@ TEST(Server, ReloadedDesignNeverReusesOldSessions) {
   EXPECT_EQ(design_counter(server, "d", "sessions_reused"), 0u);
 }
 
+TEST(Server, VariedSeedQueriesReuseOneSession) {
+  // The pool keys sessions without the seed: one warm session answers
+  // every seed of a config, each byte-identical to a fresh session's run.
+  const BookshelfDesign design = planted_design();
+  ServerConfig scfg;
+  scfg.workers = 1;
+  Server server(scfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    FinderConfig cfg = quick_config();
+    cfg.rng_seed = seed;
+    const std::string expected =
+        deterministic_result_json(Finder(design.netlist, cfg).run()).dump();
+    const JsonValue response =
+        parse(server.handle_line(run_line(seed, "d", cfg)));
+    ASSERT_TRUE(response_status(response).is_ok());
+    EXPECT_EQ(response.find("result")->dump(), expected) << "rng_seed " << seed;
+  }
+  EXPECT_EQ(design_counter(server, "d", "sessions_created"), 1u);
+  EXPECT_EQ(design_counter(server, "d", "sessions_reused"), 5u);
+}
+
+TEST(Server, RepeatedConfigReusedAfterPoolFills) {
+  // Once max_idle_sessions sessions are parked, a returned session evicts
+  // the least recently parked one, so a config in current use stays warm.
+  ServerConfig scfg;
+  scfg.workers = 1;
+  ASSERT_EQ(scfg.max_idle_sessions, 4u);
+  Server server(scfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+  std::uint64_t id = 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    FinderConfig cfg = quick_config();
+    cfg.max_ordering_length = 500 + 10 * i;
+    const std::string reply = server.handle_line(run_line(id++, "d", cfg));
+    ASSERT_TRUE(response_status(parse(reply)).is_ok());
+  }
+  const FinderConfig repeated = quick_config();  // a fifth config
+  std::string first;
+  for (int i = 0; i < 5; ++i) {
+    const JsonValue response =
+        parse(server.handle_line(run_line(id++, "d", repeated)));
+    ASSERT_TRUE(response_status(response).is_ok());
+    if (i == 0) first = response.find("result")->dump();
+    EXPECT_EQ(response.find("result")->dump(), first) << "query " << i;
+  }
+  EXPECT_EQ(design_counter(server, "d", "sessions_created"), 5u);
+  EXPECT_EQ(design_counter(server, "d", "sessions_reused"), 4u);
+}
+
+TEST(Server, PoolEvictsLeastRecentlyParkedSession) {
+  // With room for two parked sessions, a third config evicts the least
+  // recently parked one; a re-used session counts as freshly parked.
+  ServerConfig scfg;
+  scfg.workers = 1;
+  scfg.max_idle_sessions = 2;
+  Server server(scfg);
+  ASSERT_TRUE(server.preload("d", planted_design()).is_ok());
+  const auto query = [&server](std::uint64_t id, std::size_t z) {
+    FinderConfig cfg = quick_config();
+    cfg.max_ordering_length = z;
+    const std::string reply = server.handle_line(run_line(id, "d", cfg));
+    EXPECT_TRUE(response_status(parse(reply)).is_ok());
+  };
+  query(1, 500);  // parks A
+  query(2, 510);  // parks B
+  query(3, 520);  // parks C, evicting A
+  query(4, 510);  // reuses B, then parks it past C
+  query(5, 500);  // A was evicted: a new session, evicting C
+  query(6, 510);  // reuses B
+  EXPECT_EQ(design_counter(server, "d", "sessions_created"), 4u);
+  EXPECT_EQ(design_counter(server, "d", "sessions_reused"), 2u);
+}
+
 TEST(Server, UnknownDesignIsNotFound) {
   ServerConfig cfg;
   Server server(cfg);
