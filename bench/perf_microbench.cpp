@@ -120,34 +120,10 @@ void BM_GroupConnectivityAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupConnectivityAdd);
 
-/// Refine-loop churn: interleaved add/remove (Phase III moves cells both
-/// ways).  The O(1) member-position index is what keeps `remove` from
-/// turning this loop quadratic in group size.
-void BM_GroupConnectivityChurn(benchmark::State& state) {
-  const PlantedGraph& pg = graph_of_size(8'000);
-  GroupConnectivity group(pg.netlist);
-  Rng rng(13);
-  std::vector<CellId> ops(8'000);
-  for (auto& c : ops) c = static_cast<CellId>(rng.next_below(8'000));
-  for (auto _ : state) {
-    group.clear();
-    for (const CellId c : ops) {
-      if (group.contains(c)) {
-        group.remove(c);
-      } else {
-        group.add(c);
-      }
-    }
-    benchmark::DoNotOptimize(group.cut());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * 8'000);
-}
-BENCHMARK(BM_GroupConnectivityChurn);
-
-/// Family scoring in Phase III: many short-lived groups on one tracker.
-/// The epoch-stamped clear() makes each assign O(Σ degree of members),
-/// independent of how many nets earlier groups touched.
+/// Many short-lived groups on one tracker, as the oracle checks and
+/// score_members use it: clear() zeroes only the previous members' nets,
+/// so each assign is O(Σ degree of old and new members), independent of
+/// the netlist's size.
 void BM_GroupAssignSmall(benchmark::State& state) {
   const PlantedGraph& pg = graph_of_size(8'000);
   GroupConnectivity group(pg.netlist);
@@ -187,9 +163,9 @@ void BM_RefineCandidate(benchmark::State& state) {
   initial.seed = pg.gtl_members[0][0];
   for (auto _ : state) {
     Rng rng(41);
-    const Candidate refined = refine_candidate(
-        pg.netlist, initial, engine, arena, ctx, ScoreKind::kNgtlS,
-        RefineConfig{}, MinimumConfig{}, CurveConfig{}, rng);
+    const Candidate refined =
+        refine_candidate(pg.netlist, initial, engine, arena, ctx,
+                         ScoreKind::kNgtlS, /*extra_seeds=*/3, rng);
     benchmark::DoNotOptimize(refined.score);
   }
 }

@@ -8,10 +8,12 @@
 namespace gtl {
 namespace {
 
-/// Shared tail of the scoring entry points: `c.cells` is already
-/// populated (sorted); `cut` and `pins` are the members' T(C) and pins(C).
-/// A_C is GroupConnectivity::avg_pins_per_cell's division on the same
-/// values, so every entry point gives the same bytes.
+/// Shared tail of score_members (T(C) and pins(C) from GroupConnectivity)
+/// and scored_candidate (from OrderingEngine::measure); `c.cells` is
+/// already populated and sorted.  A_C = pins / |C| is the division
+/// GroupConnectivity::avg_pins_per_cell makes, and refine_candidate's
+/// in-place scoring of losing family members repeats these calls, so a
+/// member list gets the same bytes whichever path scores it.
 Candidate finish_scored(Candidate c, std::int64_t cut, std::uint64_t pins,
                         const ScoreContext& ctx, ScoreKind kind) {
   const auto size = static_cast<double>(c.cells.size());
@@ -53,30 +55,16 @@ Candidate scored_candidate(std::span<const CellId> members, std::int64_t cut,
 std::optional<Candidate> extract_candidate(const Netlist& nl,
                                            const LinearOrdering& ordering,
                                            ScoreKind kind,
-                                           const CurveConfig& curve_cfg,
-                                           const MinimumConfig& min_cfg) {
-  CurveScratch scratch;
-  return extract_candidate(nl, ordering, kind, curve_cfg, min_cfg, scratch);
-}
-
-std::optional<Candidate> extract_candidate(const Netlist& nl,
-                                           const LinearOrdering& ordering,
-                                           ScoreKind kind,
-                                           const CurveConfig& curve_cfg,
-                                           const MinimumConfig& min_cfg,
                                            CurveScratch& scratch) {
-  if (ordering.cells.size() < min_cfg.min_size) return std::nullopt;
+  if (ordering.cells.size() < kMinCandidateSize) return std::nullopt;
   return candidate_at_minimum(
-      ordering, compute_selected_curve(nl, ordering, curve_cfg, kind, scratch),
-      kind, min_cfg);
+      ordering, compute_selected_curve(nl, ordering, kind, scratch), kind);
 }
 
 std::optional<Candidate> candidate_at_minimum(const LinearOrdering& ordering,
                                               const SelectedScoreCurve& curve,
-                                              ScoreKind kind,
-                                              const MinimumConfig& min_cfg) {
-  const std::optional<ClearMinimum> minimum =
-      find_clear_minimum(curve.values, min_cfg);
+                                              ScoreKind kind) {
+  const std::optional<ClearMinimum> minimum = find_clear_minimum(curve.values);
   if (!minimum) return std::nullopt;
 
   const std::size_t k = minimum->prefix_size;
@@ -152,20 +140,6 @@ void set_difference_into(std::span<const CellId> a, std::span<const CellId> b,
   out.reserve(a.size());
   std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                       std::back_inserter(out));
-}
-
-bool sets_overlap(std::span<const CellId> a, std::span<const CellId> b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia == *ib) return true;
-    if (*ia < *ib) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  return false;
 }
 
 }  // namespace gtl

@@ -51,17 +51,12 @@ struct Candidate {
 /// Phase II: extract a candidate from an ordering, or nullopt when its
 /// score curve has no clear minimum (seed was outside any GTL).
 /// The candidate's scores use the ordering's own Rent exponent estimate.
+/// The curve lives in `scratch` (zero steady-state allocation per inner
+/// re-growth), and only the selected Φ's full curve is computed; the
+/// result is pinned to a three-curve reference by
+/// tests/finder/score_curve_equivalence_test.cpp.
 [[nodiscard]] std::optional<Candidate> extract_candidate(
     const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
-    const CurveConfig& curve_cfg = {}, const MinimumConfig& min_cfg = {});
-
-/// Scratch-backed extract_candidate: identical results (pinned by
-/// tests/finder/score_curve_equivalence_test.cpp), but the curve lives in
-/// `scratch` — zero steady-state allocation per inner re-growth, and only
-/// the selected Φ's full curve is computed.
-[[nodiscard]] std::optional<Candidate> extract_candidate(
-    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
-    const CurveConfig& curve_cfg, const MinimumConfig& min_cfg,
     CurveScratch& scratch);
 
 /// The candidate at the clear minimum of `curve` — the `kind` curve that
@@ -70,7 +65,7 @@ struct Candidate {
 /// candidate comes out (Phase II averages it over every ordering).
 [[nodiscard]] std::optional<Candidate> candidate_at_minimum(
     const LinearOrdering& ordering, const SelectedScoreCurve& curve,
-    ScoreKind kind, const MinimumConfig& min_cfg);
+    ScoreKind kind);
 
 // --- sorted-vector set algebra (member lists are sorted by id) ---
 
@@ -91,8 +86,5 @@ void set_intersection_into(std::span<const CellId> a,
                            std::vector<CellId>& out);
 void set_difference_into(std::span<const CellId> a, std::span<const CellId> b,
                          std::vector<CellId>& out);
-/// True iff the sorted lists share at least one cell.
-[[nodiscard]] bool sets_overlap(std::span<const CellId> a,
-                                std::span<const CellId> b);
 
 }  // namespace gtl

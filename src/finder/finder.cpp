@@ -211,11 +211,10 @@ void Finder::extract_one(std::size_t i, std::size_t w,
                          ExtractionSlots& slots) {
   if (ordering.cells.size() < 2) return;
   // The curve lives in this worker's reusable scratch.
-  const SelectedScoreCurve curve = compute_selected_curve(
-      *nl_, ordering, CurveConfig{}, cfg_.score, scratch_[w].curve);
+  const SelectedScoreCurve curve =
+      compute_selected_curve(*nl_, ordering, cfg_.score, scratch_[w].curve);
   slots.rent[i] = curve.rent_exponent;
-  slots.candidate[i] =
-      candidate_at_minimum(ordering, curve, cfg_.score, MinimumConfig{});
+  slots.candidate[i] = candidate_at_minimum(ordering, curve, cfg_.score);
 }
 
 void Finder::finish_extraction(ExtractionSlots& slots, double seconds) {
@@ -312,36 +311,30 @@ const FinderResult& Finder::refine_and_prune() {
 
   std::vector<Candidate> refined(n);
   std::vector<std::uint8_t> refine_done(n, 0);
-  {
-    RefineConfig rcfg;
-    rcfg.extra_seeds = cfg_.refine_seeds;
-    rcfg.min_size = MinimumConfig{}.min_size;
-    pool_.parallel_for(n, [&](std::size_t i, std::size_t w) {
-      if (honor_token && cancel_requested()) return;
-      if (cfg_.refine_seeds == 0) {
-        // Candidate member lists are sorted by construction (Phase II
-        // sorts every extraction), as scored_candidate requires.
-        const std::vector<CellId>& cells = initial[i].cells;
-        const GroupMeasure m = engine_for(w).measure(cells);
-        Candidate c =
-            scored_candidate(cells, m.cut, m.pins, result_.context, cfg_.score);
-        c.seed = initial[i].seed;
-        refined[i] = std::move(c);
-      } else {
-        // The refine path runs entirely on this worker's reused scratch:
-        // its engine (re-growths and the family's measures) and the
-        // family arena.  The RNG still derives from the item index, so
-        // results are schedule-independent.
-        Rng rng(mix_seed(cfg_.rng_seed, 0x5EEDBEEF + i));
-        refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
-                                      scratch_[w].arena, result_.context,
-                                      cfg_.score, rcfg, MinimumConfig{},
-                                      CurveConfig{}, rng);
-      }
-      refine_done[i] = 1;
-      notify_candidate_refined(n);
-    });
-  }
+  pool_.parallel_for(n, [&](std::size_t i, std::size_t w) {
+    if (honor_token && cancel_requested()) return;
+    if (cfg_.refine_seeds == 0) {
+      // Candidate member lists are sorted by construction (Phase II
+      // sorts every extraction), as scored_candidate requires.
+      const std::vector<CellId>& cells = initial[i].cells;
+      const GroupMeasure m = engine_for(w).measure(cells);
+      Candidate c =
+          scored_candidate(cells, m.cut, m.pins, result_.context, cfg_.score);
+      c.seed = initial[i].seed;
+      refined[i] = std::move(c);
+    } else {
+      // The refine path runs entirely on this worker's reused scratch:
+      // its engine (re-growths and the family's measures) and the
+      // family arena.  The RNG still derives from the item index, so
+      // results are schedule-independent.
+      Rng rng(mix_seed(cfg_.rng_seed, 0x5EEDBEEF + i));
+      refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
+                                    scratch_[w].arena, result_.context,
+                                    cfg_.score, cfg_.refine_seeds, rng);
+    }
+    refine_done[i] = 1;
+    notify_candidate_refined(n);
+  });
   if (honor_token && cancel_requested()) cancelled_ = true;
 
   // Keep only candidates whose refinement completed (all of them unless

@@ -53,8 +53,9 @@
 
 namespace gtl {
 
-/// The settable parameters of a run.  The clear-minimum test and the
-/// Rent estimate always use the defaults of MinimumConfig and CurveConfig.
+/// The settable parameters of a run.  The clear-minimum test, the Rent
+/// estimate's floor and Phase III's size floor are fixed constants
+/// (score_curve.hpp), not settings.
 struct FinderConfig {
   /// m: number of random starting seeds.
   std::size_t num_seeds = 100;

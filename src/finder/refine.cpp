@@ -11,9 +11,7 @@ namespace gtl {
 Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
                            OrderingEngine& engine, RefineArena& arena,
                            const ScoreContext& ctx, ScoreKind kind,
-                           const RefineConfig& cfg,
-                           const MinimumConfig& min_cfg,
-                           const CurveConfig& curve_cfg, Rng& rng) {
+                           std::size_t extra_seeds, Rng& rng) {
   GTL_REQUIRE(!initial.cells.empty(), "cannot refine an empty candidate");
   assert(std::is_sorted(initial.cells.begin(), initial.cells.end()) &&
          "refine_candidate requires initial.cells sorted by cell id");
@@ -29,12 +27,11 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
     return arena.lists[i];
   };
   list_at(n_lists++).assign(initial.cells.begin(), initial.cells.end());
-  for (std::size_t i = 0; i < cfg.extra_seeds; ++i) {
+  for (std::size_t i = 0; i < extra_seeds; ++i) {
     const CellId inner_seed =
         initial.cells[rng.next_below(initial.cells.size())];
     engine.grow(inner_seed, arena.ordering);
-    auto cand = extract_candidate(nl, arena.ordering, kind, curve_cfg, min_cfg,
-                                  arena.curve);
+    auto cand = extract_candidate(nl, arena.ordering, kind, arena.curve);
     if (cand) list_at(n_lists++) = std::move(cand->cells);
   }
   const std::size_t n_base = n_lists;
@@ -64,11 +61,9 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
     const auto cut = static_cast<double>(m.cut);
     const auto size = static_cast<double>(members.size());
     if (kind == ScoreKind::kNgtlS) return ngtl_score(cut, size, ctx);
-    // A_C of the empty set is 0, as the metrics module defines it; a
-    // zero size floor lets that set into the family.
-    const double avg_pins =
-        members.empty() ? 0.0 : static_cast<double>(m.pins) / size;
-    return gtl_sd_score(cut, size, avg_pins, ctx);
+    // Never empty: the initial candidate is not, and the size floor keeps
+    // every other scored member at kMinCandidateSize cells or more.
+    return gtl_sd_score(cut, size, static_cast<double>(m.pins) / size, ctx);
   };
 
   // Pick the family member with minimum Φ (respecting the size floor).
@@ -80,7 +75,7 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
   double best_score = phi(initial.cells);
   for (std::size_t idx = 0; idx < n_lists; ++idx) {
     const std::vector<CellId>& members = arena.lists[idx];
-    if (members.size() < cfg.min_size) continue;
+    if (members.size() < kMinCandidateSize) continue;
     const double s = phi(members);
     if (s < best_score) {
       best_idx = idx;

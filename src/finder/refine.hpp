@@ -22,13 +22,6 @@
 
 namespace gtl {
 
-struct RefineConfig {
-  /// l: number of inner re-growths per candidate (paper uses 3).
-  std::size_t extra_seeds = 3;
-  /// Candidates below this size are dropped after refinement.
-  std::size_t min_size = 30;
-};
-
 /// Per-worker reusable scratch for refine_candidate: the genetic family's
 /// member-list buffers (up to (l+1) + 4·C(l+1,2) sorted lists, cleared
 /// but keeping capacity between candidates), the ordering buffer each
@@ -41,24 +34,24 @@ struct RefineArena {
   CurveScratch curve;
 };
 
-/// Refine one candidate.  `engine` supplies the Phase I re-growths and,
+/// Refine one candidate with `extra_seeds` (the paper's l, 3 there)
+/// inner re-growths.  `engine` supplies the Phase I re-growths and,
 /// between them, measures every family member's T(C) and pins(C), which
 /// is all Φ needs; `arena` is caller-owned scratch (reused across
 /// candidates — the zero-alloc steady state); `ctx` is the shared scoring
-/// context so family members are comparable.  Precondition:
-/// `initial.cells` is sorted by cell id (every Candidate producer sorts).
-/// Only the winning family member is materialized into a Candidate;
-/// losers are scored in place with no copies, sorts, or allocation.
+/// context so family members are comparable.  Family members below
+/// kMinCandidateSize cannot win; the initial candidate is the fallback.
+/// Precondition: `initial.cells` is sorted by cell id (every Candidate
+/// producer sorts).  Only the winning family member is materialized into
+/// a Candidate; losers are scored in place with no copies, sorts, or
+/// allocation.
 [[nodiscard]] Candidate refine_candidate(const Netlist& nl,
                                          const Candidate& initial,
                                          OrderingEngine& engine,
                                          RefineArena& arena,
                                          const ScoreContext& ctx,
                                          ScoreKind kind,
-                                         const RefineConfig& cfg,
-                                         const MinimumConfig& min_cfg,
-                                         const CurveConfig& curve_cfg,
-                                         Rng& rng);
+                                         std::size_t extra_seeds, Rng& rng);
 
 /// Prune overlapping candidates: returns the best-score-first maximal
 /// disjoint set (see header comment for the equivalence to the paper's

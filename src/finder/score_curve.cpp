@@ -8,9 +8,12 @@
 
 namespace gtl {
 
+// The Rent loops divide by ln k, which is 0 at k = 1; the argmin scan
+// starts at k = kMinCandidateSize and reads curve[k - 1].
+static_assert(kRentMinK >= 2 && kMinCandidateSize >= 1);
+
 ScoreCurve compute_score_curve(const Netlist& nl,
-                               const LinearOrdering& ordering,
-                               const CurveConfig& cfg) {
+                               const LinearOrdering& ordering) {
   GTL_REQUIRE(!ordering.cells.empty(), "ordering is empty");
   const std::size_t n = ordering.cells.size();
   GTL_REQUIRE(ordering.prefix_cut.size() == n &&
@@ -23,7 +26,7 @@ ScoreCurve compute_score_curve(const Netlist& nl,
   // Rent exponent: mean over prefixes of the paper's per-group estimate.
   double p_sum = 0.0;
   std::size_t p_count = 0;
-  for (std::size_t k = std::max<std::size_t>(cfg.rent_min_k, 2); k <= n; ++k) {
+  for (std::size_t k = kRentMinK; k <= n; ++k) {
     const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
     const double a_c = static_cast<double>(ordering.prefix_pins[k - 1]) /
                        static_cast<double>(k);
@@ -77,7 +80,6 @@ double memoized_log_cut(CurveScratch& scratch, std::int64_t cut) {
 
 SelectedScoreCurve compute_selected_curve(const Netlist& nl,
                                           const LinearOrdering& ordering,
-                                          const CurveConfig& cfg,
                                           ScoreKind kind,
                                           CurveScratch& scratch) {
   GTL_REQUIRE(!ordering.cells.empty(), "ordering is empty");
@@ -102,7 +104,7 @@ SelectedScoreCurve compute_selected_curve(const Netlist& nl,
   // argument => same bits).
   double p_sum = 0.0;
   std::size_t p_count = 0;
-  for (std::size_t k = std::max<std::size_t>(cfg.rent_min_k, 2); k <= n; ++k) {
+  for (std::size_t k = kRentMinK; k <= n; ++k) {
     const double a_c = static_cast<double>(ordering.prefix_pins[k - 1]) /
                        static_cast<double>(k);
     p_sum += group_rent_exponent_prelogged(
@@ -138,37 +140,36 @@ SelectedScoreCurve compute_selected_curve(const Netlist& nl,
   return out;
 }
 
-std::optional<ClearMinimum> find_clear_minimum(std::span<const double> curve,
-                                               const MinimumConfig& cfg) {
+std::optional<ClearMinimum> find_clear_minimum(
+    std::span<const double> curve) {
   const std::size_t n = curve.size();
-  if (n < cfg.min_size || cfg.min_size == 0) return std::nullopt;
+  if (n < kMinCandidateSize) return std::nullopt;
 
   // Right-edge guard: a minimum in the final stretch means the curve was
   // still falling when the ordering ended.
   const auto last_valid = static_cast<std::size_t>(
-      std::floor(static_cast<double>(n) * (1.0 - cfg.edge_fraction)));
-  if (last_valid < cfg.min_size) return std::nullopt;
+      std::floor(static_cast<double>(n) * (1.0 - kEdgeFraction)));
+  if (last_valid < kMinCandidateSize) return std::nullopt;
 
-  // First-wins argmin over [min_size, last_valid].
-  std::size_t best_k = 0;
-  double best_v = 0.0;
-  for (std::size_t k = cfg.min_size; k <= last_valid; ++k) {
+  // First-wins argmin over [kMinCandidateSize, last_valid].
+  std::size_t best_k = kMinCandidateSize;
+  double best_v = curve[best_k - 1];
+  for (std::size_t k = best_k + 1; k <= last_valid; ++k) {
     const double v = curve[k - 1];
-    if (best_k == 0 || v < best_v) {
+    if (v < best_v) {
       best_k = k;
       best_v = v;
     }
   }
-  if (best_k == 0) return std::nullopt;
-  if (best_v >= cfg.accept_threshold) return std::nullopt;
+  if (best_v >= kAcceptThreshold) return std::nullopt;
 
   // Drop test: the curve must have risen well above the minimum earlier
   // (a monotone-rising background curve, Fig. 2, has no such drop).
   double max_before = 0.0;
-  for (std::size_t k = cfg.min_size; k <= best_k; ++k) {
+  for (std::size_t k = kMinCandidateSize; k <= best_k; ++k) {
     max_before = std::max(max_before, curve[k - 1]);
   }
-  if (max_before < cfg.drop_factor * std::max(best_v, 1e-12)) {
+  if (max_before < kDropFactor * std::max(best_v, 1e-12)) {
     return std::nullopt;
   }
   // Rise test: after absorbing the whole GTL, adding outside cells must
@@ -178,7 +179,7 @@ std::optional<ClearMinimum> find_clear_minimum(std::span<const double> curve,
   for (std::size_t k = best_k; k <= n; ++k) {
     max_after = std::max(max_after, curve[k - 1]);
   }
-  if (max_after < cfg.rise_factor * std::max(best_v, 1e-12)) {
+  if (max_after < kRiseFactor * std::max(best_v, 1e-12)) {
     return std::nullopt;
   }
   return ClearMinimum{best_k, best_v};

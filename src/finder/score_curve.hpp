@@ -8,11 +8,16 @@
 // function, the corresponding cell group is selected").  We make it
 // precise with three checks, each motivated by the curve shapes in Figs.
 // 2-3: the minimum must (a) be deep in absolute terms (score below
-// `accept_threshold`; average logic ≈ 1, strong GTLs « 1), (b) come after
-// a pronounced drop (max-before-min / min >= `drop_factor` — the outside-
+// kAcceptThreshold; average logic ≈ 1, strong GTLs « 1), (b) come after
+// a pronounced drop (max-before-min / min >= kDropFactor — the outside-
 // GTL curve of Fig. 2 rises monotonically and never drops), and (c) not
 // sit at the right edge of the curve (a still-falling curve means the
-// ordering ran out of length before leaving the structure).
+// ordering ran out of length before leaving the structure: the last
+// kEdgeFraction of the curve is not searched, and the curve must rise
+// again after the minimum, max-after-min / min >= kRiseFactor).
+//
+// These thresholds and the Rent estimate's floor are one fixed policy,
+// owned here as constants; every Phase II/III caller uses them.
 
 #include <cstddef>
 #include <optional>
@@ -23,6 +28,21 @@
 #include "order/linear_ordering.hpp"
 
 namespace gtl {
+
+/// Smallest candidate, and smallest prefix the clear-minimum search
+/// considers (paper §3.1 ignores tiny prefixes).  Phase III drops family
+/// members below it too.
+inline constexpr std::size_t kMinCandidateSize = 30;
+/// A clear minimum must score below this.
+inline constexpr double kAcceptThreshold = 0.75;
+/// max-before-min / min must reach this (the drop test).
+inline constexpr double kDropFactor = 1.6;
+/// max-after-min / min must reach this (the rise test).
+inline constexpr double kRiseFactor = 1.3;
+/// Minima in the last 2% of a curve are not searched (right-edge guard).
+inline constexpr double kEdgeFraction = 0.02;
+/// Smallest prefix used for Rent-exponent estimation.
+inline constexpr std::size_t kRentMinK = 10;
 
 /// Which Φ drives candidate selection and pruning.
 enum class ScoreKind {
@@ -37,7 +57,8 @@ struct ScoreCurve {
   std::vector<double> gtl_sd;
   std::vector<double> ratio_cut;  ///< baseline, for Fig. 5
   /// Rent exponent estimated from this ordering: the mean over prefixes of
-  /// (ln T(C_k) − ln A_Ck)/ln k  (paper §3.2.2), k >= rent_min_k.
+  /// (ln T(C_k) − ln A_Ck)/ln k  (paper §3.2.2), k >= kRentMinK; 0.6 when
+  /// the ordering is shorter than kRentMinK.
   double rent_exponent = 0.6;
   /// The context the curves were computed with (A_G plus the above p).
   ScoreContext context;
@@ -47,16 +68,10 @@ struct ScoreCurve {
   }
 };
 
-struct CurveConfig {
-  /// Smallest prefix used for Rent-exponent estimation.
-  std::size_t rent_min_k = 10;
-};
-
 /// Compute the score curves of an ordering.  A_G is taken from the
 /// netlist; the Rent exponent is estimated from the ordering itself.
 [[nodiscard]] ScoreCurve compute_score_curve(const Netlist& nl,
-                                             const LinearOrdering& ordering,
-                                             const CurveConfig& cfg = {});
+                                             const LinearOrdering& ordering);
 
 /// Reusable scratch backing compute_selected_curve.  One instance per
 /// worker thread; every buffer keeps its capacity across seeds, so the
@@ -97,17 +112,8 @@ struct SelectedScoreCurve {
 };
 
 [[nodiscard]] SelectedScoreCurve compute_selected_curve(
-    const Netlist& nl, const LinearOrdering& ordering, const CurveConfig& cfg,
-    ScoreKind kind, CurveScratch& scratch);
-
-/// Parameters of the clear-minimum test.
-struct MinimumConfig {
-  std::size_t min_size = 30;       ///< ignore tiny prefixes (paper §3.1)
-  double accept_threshold = 0.75;  ///< minimum must score below this
-  double drop_factor = 1.6;        ///< max-before-min / min must exceed this
-  double rise_factor = 1.3;        ///< max-after-min / min must exceed this
-  double edge_fraction = 0.02;     ///< reject minima in the last 2% of curve
-};
+    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
+    CurveScratch& scratch);
 
 /// A detected clear minimum.
 struct ClearMinimum {
@@ -119,6 +125,6 @@ struct ClearMinimum {
 /// or a SelectedScoreCurve's values), or nullopt if no prefix passes the
 /// three checks.  The curve must be NaN-free (every Φ is).
 [[nodiscard]] std::optional<ClearMinimum> find_clear_minimum(
-    std::span<const double> curve, const MinimumConfig& cfg = {});
+    std::span<const double> curve);
 
 }  // namespace gtl

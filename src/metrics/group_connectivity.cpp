@@ -1,6 +1,5 @@
 #include "metrics/group_connectivity.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/require.hpp"
@@ -8,62 +7,33 @@
 namespace gtl {
 
 GroupConnectivity::GroupConnectivity(const Netlist& nl)
-    : nl_(&nl),
-      net_count_(nl.num_nets()),
-      member_pos_(nl.num_cells(), kNoPos) {}
+    : nl_(&nl), net_pins_(nl.num_nets(), 0), in_group_(nl.num_cells(), 0) {}
 
 void GroupConnectivity::add(CellId c) {
   GTL_REQUIRE(!contains(c), "cell already in group");
-  member_pos_[c] = static_cast<std::uint32_t>(members_.size());
+  in_group_[c] = 1;
   members_.push_back(c);
   pins_in_group_ += nl_->cell_degree(c);
   for (const NetId e : nl_->nets_of(c)) {
     const std::uint32_t size = nl_->net_size(e);
-    NetCount& nc = net_count_[e];
-    const std::uint32_t k = nc.epoch == epoch_ ? nc.pins : 0;
+    const std::uint32_t k = net_pins_[e];
     if (k == 0) {
-      nc.epoch = epoch_;
       if (size > 1) ++cut_;  // first pin inside: net becomes cut
     } else if (size > 1) {
       absorption_ += 1.0 / static_cast<double>(size - 1);
     }
     if (k + 1 == size && size > 1) --cut_;  // fully absorbed: no longer cut
-    nc.pins = k + 1;
-  }
-}
-
-void GroupConnectivity::remove(CellId c) {
-  GTL_REQUIRE(contains(c), "cell not in group");
-  // O(1) swap-erase via the position index.
-  const std::uint32_t pos = member_pos_[c];
-  members_[pos] = members_.back();
-  member_pos_[members_[pos]] = pos;
-  members_.pop_back();
-  member_pos_[c] = kNoPos;
-  pins_in_group_ -= nl_->cell_degree(c);
-  for (const NetId e : nl_->nets_of(c)) {
-    const std::uint32_t size = nl_->net_size(e);
-    NetCount& nc = net_count_[e];
-    const std::uint32_t k = nc.pins;  // in-epoch: c was a member
-    if (k == size && size > 1) ++cut_;  // was fully inside: becomes cut
-    nc.pins = k - 1;
-    if (k == 1) {
-      if (size > 1) --cut_;  // last pin left: no longer cut
-    } else if (size > 1) {
-      absorption_ -= 1.0 / static_cast<double>(size - 1);
-    }
+    net_pins_[e] = k + 1;
   }
 }
 
 void GroupConnectivity::clear() {
-  for (const CellId c : members_) member_pos_[c] = kNoPos;
-  members_.clear();
-  // Invalidate every per-net counter at once by entering a new epoch;
-  // stale counters read as 0 until a net is touched again.
-  if (++epoch_ == 0) {  // wrapped: stale stamps could collide, hard-reset
-    std::fill(net_count_.begin(), net_count_.end(), NetCount{});
-    epoch_ = 1;
+  // Only the members' nets have non-zero counts.
+  for (const CellId c : members_) {
+    in_group_[c] = 0;
+    for (const NetId e : nl_->nets_of(c)) net_pins_[e] = 0;
   }
+  members_.clear();
   cut_ = 0;
   pins_in_group_ = 0;
   absorption_ = 0.0;
@@ -72,18 +42,6 @@ void GroupConnectivity::clear() {
 void GroupConnectivity::assign(std::span<const CellId> members) {
   clear();
   for (const CellId c : members) add(c);
-}
-
-std::int64_t GroupConnectivity::cut_delta_if_added(CellId c) const {
-  std::int64_t delta = 0;
-  for (const NetId e : nl_->nets_of(c)) {
-    const std::uint32_t size = nl_->net_size(e);
-    if (size <= 1) continue;
-    const std::uint32_t k = pins_in(e);
-    if (k == 0) ++delta;            // becomes newly cut
-    if (k + 1 == size) --delta;     // becomes fully absorbed
-  }
-  return delta;
 }
 
 std::int64_t net_cut(const Netlist& nl, std::span<const CellId> members) {

@@ -1,19 +1,16 @@
 #pragma once
-// Incremental connectivity bookkeeping for a growing/shrinking group of
-// cells C ⊆ V.  This is the workhorse underneath every metric and under
-// Phase I of the finder: it maintains, under add/remove of single cells,
+// Connectivity bookkeeping for a group of cells C ⊆ V: the plain oracle
+// behind the group metrics (score_members, score_group,
+// select_aware_score) and the independent check of the numbers the
+// finder reports.  Cells are added one at a time; it maintains
 //
 //   T(C)      — the net cut  |{e : e∩C ≠ ∅ and e∩(V−C) ≠ ∅}|
 //   pins(C)   — Σ_{c∈C} degree(c), so  A_C = pins(C)/|C|
 //   absorb(C) — Alpert-Kahng absorption  Σ_e (|e∩C|−1)/(|e|−1)
 //   |e∩C|     — per-net pin-in-group counts
 //
-// in O(degree(c)) per update.  `remove` locates the member in O(1) via a
-// position index (not a scan of the member list), and `clear` is
-// epoch-stamped: per-net counters are invalidated by bumping a counter
-// instead of walking every net touched since the last clear, so
-// `assign()` on a fresh group costs O(Σ degree of new members) no matter
-// how much history the tracker has seen.
+// in O(degree(c)) per add.  `clear` zeroes the counts of the members'
+// nets, so it and `assign` cost O(Σ degree of members), not O(|E|).
 
 #include <cstdint>
 #include <span>
@@ -31,19 +28,13 @@ class GroupConnectivity {
   /// Add a cell to the group. Precondition: not already in the group.
   void add(CellId c);
 
-  /// Remove a cell from the group in O(degree(c)).
-  /// Precondition: currently in the group.
-  void remove(CellId c);
-
-  /// Empty the group in O(|C|).
+  /// Empty the group in O(Σ degree of members).
   void clear();
 
   /// Rebuild the group from an explicit member list (clears first).
   void assign(std::span<const CellId> members);
 
-  [[nodiscard]] bool contains(CellId c) const {
-    return member_pos_[c] != kNoPos;
-  }
+  [[nodiscard]] bool contains(CellId c) const { return in_group_[c] != 0; }
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] std::span<const CellId> members() const { return members_; }
 
@@ -64,39 +55,22 @@ class GroupConnectivity {
   [[nodiscard]] double absorption() const { return absorption_; }
 
   /// |e ∩ C| for net e.
-  [[nodiscard]] std::uint32_t pins_in(NetId e) const {
-    const NetCount& nc = net_count_[e];
-    return nc.epoch == epoch_ ? nc.pins : 0;
-  }
+  [[nodiscard]] std::uint32_t pins_in(NetId e) const { return net_pins_[e]; }
 
   /// λ(e) = |e| − |e∩C|: pins of net e outside the group (paper, §3.2.1).
   [[nodiscard]] std::uint32_t pins_out(NetId e) const {
     return netlist().net_size(e) - pins_in(e);
   }
 
-  /// Change of T(C) if `c` were added, without modifying the group.
-  [[nodiscard]] std::int64_t cut_delta_if_added(CellId c) const;
-
   [[nodiscard]] const Netlist& netlist() const { return *nl_; }
 
  private:
-  static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
-
-  /// Per-net counter, valid only while `epoch` matches epoch_ (stale
-  /// entries read as 0).  pins and epoch are interleaved so the hot
-  /// add/remove loops touch one cache line per net, not two arrays.
-  struct NetCount {
-    std::uint32_t pins = 0;
-    std::uint32_t epoch = 0;
-  };
-
   const Netlist* nl_;
-  std::vector<NetCount> net_count_;
-  /// Per-cell slot in members_ (kNoPos when outside the group): O(1)
-  /// membership tests and O(1) swap-erase on remove.
-  std::vector<std::uint32_t> member_pos_;
+  /// |e ∩ C| per net.
+  std::vector<std::uint32_t> net_pins_;
+  /// 1 iff the cell is a member.
+  std::vector<std::uint8_t> in_group_;
   std::vector<CellId> members_;
-  std::uint32_t epoch_ = 1;
   std::int64_t cut_ = 0;
   std::size_t pins_in_group_ = 0;
   double absorption_ = 0.0;

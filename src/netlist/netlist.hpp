@@ -10,9 +10,9 @@
 // sizes are cached in their own array — a size or fixed query is one
 // 32-bit load instead of two 64-bit loads or a vector<bool> bit probe,
 // and the whole CSR is half the bytes, so twice as much of the graph fits
-// in cache.  The hot reader of cached sizes is GroupConnectivity::add /
-// remove (Phase III scoring); the ordering engine copies sizes into its
-// own per-net records once per engine.
+// in cache.  The hot reader of cached sizes is the ordering engine: it
+// copies them into its own per-net words once per engine and restores
+// the words of the touched nets from them after every grow and measure.
 // Pins are deduplicated per net (a hyperedge is a *set* of cells), so
 // cell_degree(c) == number of distinct nets touching c, and
 // num_pins() == sum over nets of net_size() == sum over cells of degree.

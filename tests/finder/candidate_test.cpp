@@ -30,15 +30,6 @@ TEST(SetAlgebra, EmptyOperands) {
   EXPECT_TRUE(set_difference(empty, a).empty());
 }
 
-TEST(SetAlgebra, OverlapDetection) {
-  const std::vector<CellId> a = {1, 4, 9};
-  const std::vector<CellId> b = {2, 4, 8};
-  const std::vector<CellId> c = {3, 5, 7};
-  EXPECT_TRUE(sets_overlap(a, b));
-  EXPECT_FALSE(sets_overlap(a, c));
-  EXPECT_FALSE(sets_overlap({}, a));
-}
-
 TEST(ScoreMembers, FillsAllFields) {
   const Netlist nl = testing::make_two_cliques();
   GroupConnectivity group(nl);
@@ -90,7 +81,9 @@ TEST(ExtractCandidate, RecoversPlantedGtl) {
   OrderingEngine engine(pg.netlist,
                         {.max_length = 1500, .large_net_threshold = 20});
   const LinearOrdering ord = engine.grow(pg.gtl_members[0][3]);
-  const auto cand = extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd);
+  CurveScratch scratch;
+  const auto cand =
+      extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd, scratch);
   ASSERT_TRUE(cand.has_value());
   EXPECT_NEAR(static_cast<double>(cand->size()), 500.0, 25.0);
   const auto rec = recovery_stats(pg.gtl_members[0], cand->cells);
@@ -113,16 +106,18 @@ TEST(ExtractCandidate, BackgroundSeedYieldsNothing) {
   OrderingEngine engine(pg.netlist,
                         {.max_length = 1500, .large_net_threshold = 20});
   const LinearOrdering ord = engine.grow(bg);
-  EXPECT_FALSE(
-      extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd).has_value());
+  CurveScratch scratch;
+  EXPECT_FALSE(extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd, scratch)
+                   .has_value());
 }
 
 TEST(ExtractCandidate, TooShortOrderingRejected) {
   const Netlist nl = testing::make_grid3x3();
   OrderingEngine engine(nl, {.max_length = 9, .large_net_threshold = 0});
   const LinearOrdering ord = engine.grow(0);
+  CurveScratch scratch;
   EXPECT_FALSE(
-      extract_candidate(nl, ord, ScoreKind::kGtlSd).has_value());
+      extract_candidate(nl, ord, ScoreKind::kGtlSd, scratch).has_value());
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(Refine, ImprovesSloppyCandidate) {
   RefineArena arena;
   const Candidate refined =
       refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
-                       ScoreKind::kGtlSd, {}, {}, {}, rng);
+                       ScoreKind::kGtlSd, 3, rng);
   EXPECT_LE(refined.score, initial.score);
   const auto rec = recovery_stats(f.pg.gtl_members[0], refined.cells);
   EXPECT_LT(rec.miss_fraction, 0.05);
@@ -73,7 +73,7 @@ TEST(Refine, NeverWorsensScore) {
   RefineArena arena;
   const Candidate refined =
       refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
-                       ScoreKind::kGtlSd, {}, {}, {}, rng);
+                       ScoreKind::kGtlSd, 3, rng);
   EXPECT_LE(refined.score, initial.score + 1e-12);
 }
 
@@ -89,7 +89,7 @@ TEST(Refine, KeepsSeedAttribution) {
   RefineArena arena;
   const Candidate refined =
       refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
-                       ScoreKind::kGtlSd, {}, {}, {}, rng);
+                       ScoreKind::kGtlSd, 3, rng);
   EXPECT_EQ(refined.seed, 1234u);
 }
 

@@ -4,8 +4,8 @@
 //
 //   * compute_selected_curve (scratch-backed, single-Φ, memoized ln
 //     tables) vs the allocating three-curve reference;
-//   * extract_candidate's scratch overload vs a reference extraction
-//     reading every field off the reference curve;
+//   * extract_candidate vs a reference extraction reading every field
+//     off the reference curve;
 //   * refine_candidate (family arena, every member measured by the
 //     ordering engine, losers scored without materialization) vs the
 //     allocating reference that builds a fresh GroupConnectivity and a
@@ -40,8 +40,7 @@ namespace {
 // ---------------------------------------------------------------------
 
 ScoreCurve reference_score_curve(const Netlist& nl,
-                                 const LinearOrdering& ordering,
-                                 const CurveConfig& cfg) {
+                                 const LinearOrdering& ordering) {
   const std::size_t n = ordering.cells.size();
 
   ScoreCurve out;
@@ -49,7 +48,7 @@ ScoreCurve reference_score_curve(const Netlist& nl,
 
   double p_sum = 0.0;
   std::size_t p_count = 0;
-  for (std::size_t k = std::max<std::size_t>(cfg.rent_min_k, 2); k <= n; ++k) {
+  for (std::size_t k = kRentMinK; k <= n; ++k) {
     const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
     const double a_c = static_cast<double>(ordering.prefix_pins[k - 1]) /
                        static_cast<double>(k);
@@ -76,11 +75,10 @@ ScoreCurve reference_score_curve(const Netlist& nl,
 }
 
 std::optional<Candidate> reference_extract_candidate(
-    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
-    const CurveConfig& curve_cfg, const MinimumConfig& min_cfg) {
-  if (ordering.cells.size() < min_cfg.min_size) return std::nullopt;
-  const ScoreCurve curve = reference_score_curve(nl, ordering, curve_cfg);
-  const auto minimum = find_clear_minimum(curve.values(kind), min_cfg);
+    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind) {
+  if (ordering.cells.size() < kMinCandidateSize) return std::nullopt;
+  const ScoreCurve curve = reference_score_curve(nl, ordering);
+  const auto minimum = find_clear_minimum(curve.values(kind));
   if (!minimum) return std::nullopt;
 
   const std::size_t k = minimum->prefix_size;
@@ -103,19 +101,16 @@ Candidate reference_refine_candidate(const Netlist& nl,
                                      const Candidate& initial,
                                      OrderingEngine& engine,
                                      const ScoreContext& ctx, ScoreKind kind,
-                                     const RefineConfig& cfg,
-                                     const MinimumConfig& min_cfg,
-                                     const CurveConfig& curve_cfg, Rng& rng) {
+                                     std::size_t extra_seeds, Rng& rng) {
   GroupConnectivity group(nl);
 
   std::vector<std::vector<CellId>> base;
   base.push_back(initial.cells);
-  for (std::size_t i = 0; i < cfg.extra_seeds; ++i) {
+  for (std::size_t i = 0; i < extra_seeds; ++i) {
     const CellId inner_seed =
         initial.cells[rng.next_below(initial.cells.size())];
     const LinearOrdering ordering = engine.grow(inner_seed);
-    auto cand =
-        reference_extract_candidate(nl, ordering, kind, curve_cfg, min_cfg);
+    auto cand = reference_extract_candidate(nl, ordering, kind);
     if (cand) base.push_back(std::move(cand->cells));
   }
 
@@ -133,7 +128,7 @@ Candidate reference_refine_candidate(const Netlist& nl,
   Candidate best = score_members(initial.cells, group, ctx, kind);
   best.seed = initial.seed;
   for (const auto& members : family) {
-    if (members.size() < cfg.min_size) continue;
+    if (members.size() < kMinCandidateSize) continue;
     Candidate cand = score_members(members, group, ctx, kind);
     if (cand.score < best.score) {
       cand.seed = initial.seed;
@@ -201,27 +196,21 @@ void expect_candidate_identical(const std::optional<Candidate>& got,
 TEST(ScoreCurveEquivalence, SelectedCurveMatchesReferenceBitwise) {
   const Workload w = make_workload(101, 4'000, 300, 1'200);
   CurveScratch scratch;  // deliberately shared across every call below
-  for (const CurveConfig ccfg : {CurveConfig{.rent_min_k = 10},
-                                 CurveConfig{.rent_min_k = 2},
-                                 CurveConfig{.rent_min_k = 100'000}}) {
-    for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
-      for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
-        const LinearOrdering& ord = w.orderings[oi];
-        const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, ccfg);
-        const SelectedScoreCurve sel = compute_selected_curve(
-            w.pg.netlist, ord, ccfg, kind, scratch);
+  for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
+    for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
+      const LinearOrdering& ord = w.orderings[oi];
+      const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord);
+      const SelectedScoreCurve sel =
+          compute_selected_curve(w.pg.netlist, ord, kind, scratch);
 
-        ASSERT_EQ(sel.values.size(), ord.cells.size());
-        EXPECT_EQ(sel.rent_exponent, ref.rent_exponent)
-            << "ordering " << oi << " rent_min_k " << ccfg.rent_min_k;
-        EXPECT_EQ(sel.context.rent_exponent, ref.context.rent_exponent);
-        EXPECT_EQ(sel.context.avg_pins_per_cell, ref.context.avg_pins_per_cell);
-        const std::vector<double>& want = ref.values(kind);
-        for (std::size_t k = 0; k < sel.values.size(); ++k) {
-          ASSERT_EQ(sel.values[k], want[k])
-              << "ordering " << oi << " k " << (k + 1) << " rent_min_k "
-              << ccfg.rent_min_k;
-        }
+      ASSERT_EQ(sel.values.size(), ord.cells.size());
+      EXPECT_EQ(sel.rent_exponent, ref.rent_exponent) << "ordering " << oi;
+      EXPECT_EQ(sel.context.rent_exponent, ref.context.rent_exponent);
+      EXPECT_EQ(sel.context.avg_pins_per_cell, ref.context.avg_pins_per_cell);
+      const std::vector<double>& want = ref.values(kind);
+      for (std::size_t k = 0; k < sel.values.size(); ++k) {
+        ASSERT_EQ(sel.values[k], want[k])
+            << "ordering " << oi << " k " << (k + 1);
       }
     }
   }
@@ -233,8 +222,8 @@ TEST(ScoreCurveEquivalence, ProductionFullCurveStillMatchesReference) {
   // path is pinned against.
   const Workload w = make_workload(102, 3'000, 250, 900);
   for (const LinearOrdering& ord : w.orderings) {
-    const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, {});
-    const ScoreCurve got = compute_score_curve(w.pg.netlist, ord, {});
+    const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord);
+    const ScoreCurve got = compute_score_curve(w.pg.netlist, ord);
     EXPECT_EQ(got.rent_exponent, ref.rent_exponent);
     EXPECT_EQ(got.ngtl_s, ref.ngtl_s);
     EXPECT_EQ(got.gtl_sd, ref.gtl_sd);
@@ -253,9 +242,9 @@ TEST(ScoreCurveEquivalence, ScratchReuseAcrossShrinkingOrderings) {
   CurveScratch scratch;
   const LinearOrdering& long_ord = w.orderings[0];
   for (const LinearOrdering* ord : {&long_ord, &short_ord, &long_ord}) {
-    const ScoreCurve ref = reference_score_curve(w.pg.netlist, *ord, {});
-    const SelectedScoreCurve sel = compute_selected_curve(
-        w.pg.netlist, *ord, {}, ScoreKind::kGtlSd, scratch);
+    const ScoreCurve ref = reference_score_curve(w.pg.netlist, *ord);
+    const SelectedScoreCurve sel =
+        compute_selected_curve(w.pg.netlist, *ord, ScoreKind::kGtlSd, scratch);
     ASSERT_EQ(sel.values.size(), ord->cells.size());
     for (std::size_t k = 0; k < sel.values.size(); ++k) {
       ASSERT_EQ(sel.values[k], ref.gtl_sd[k]);
@@ -263,21 +252,34 @@ TEST(ScoreCurveEquivalence, ScratchReuseAcrossShrinkingOrderings) {
   }
 }
 
-TEST(ScoreCurveEquivalence, SingleCellOrderingUsesFallbackRent) {
-  // n = 1: the rent loop is empty (fallback 0.6) and the curve has one
-  // point; both paths must agree exactly.
+TEST(ScoreCurveEquivalence, ShortOrderingsAtRentFloorMatchReference) {
+  // Orderings of 1, 9, 10 and 11 cells have 0, 0, 1 and 2 Rent samples
+  // (k >= kRentMinK = 10): the first two use the fallback 0.6, the last
+  // two the first samples above the floor.  Both paths must agree
+  // exactly, at both Φs.
+  ASSERT_EQ(kRentMinK, 10u);
   const Workload w = make_workload(104, 2'000, 200, 600);
-  OrderingEngine engine(w.pg.netlist,
-                        {.max_length = 1, .large_net_threshold = 20});
-  const LinearOrdering ord = engine.grow(w.pg.gtl_members[0][0]);
-  ASSERT_EQ(ord.cells.size(), 1u);
   CurveScratch scratch;
-  const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, {});
-  const SelectedScoreCurve sel =
-      compute_selected_curve(w.pg.netlist, ord, {}, ScoreKind::kNgtlS, scratch);
-  EXPECT_EQ(sel.rent_exponent, ref.rent_exponent);
-  ASSERT_EQ(sel.values.size(), 1u);
-  EXPECT_EQ(sel.values[0], ref.ngtl_s[0]);
+  for (const std::size_t n : {1u, 9u, 10u, 11u}) {
+    OrderingEngine engine(w.pg.netlist,
+                          {.max_length = n, .large_net_threshold = 20});
+    const LinearOrdering ord = engine.grow(w.pg.gtl_members[0][0]);
+    ASSERT_EQ(ord.cells.size(), n);
+    const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord);
+    if (n < kRentMinK) {
+      EXPECT_EQ(ref.rent_exponent, 0.6) << "n " << n;
+    }
+    for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
+      const SelectedScoreCurve sel =
+          compute_selected_curve(w.pg.netlist, ord, kind, scratch);
+      EXPECT_EQ(sel.rent_exponent, ref.rent_exponent) << "n " << n;
+      ASSERT_EQ(sel.values.size(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(sel.values[k], ref.values(kind)[k])
+            << "n " << n << " k " << (k + 1);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -290,14 +292,9 @@ TEST(ExtractEquivalence, ScratchOverloadMatchesReference) {
   for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
     for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
       const LinearOrdering& ord = w.orderings[oi];
-      const auto want =
-          reference_extract_candidate(w.pg.netlist, ord, kind, {}, {});
-      const auto got =
-          extract_candidate(w.pg.netlist, ord, kind, {}, {}, scratch);
+      const auto want = reference_extract_candidate(w.pg.netlist, ord, kind);
+      const auto got = extract_candidate(w.pg.netlist, ord, kind, scratch);
       expect_candidate_identical(got, want, "scratch overload");
-      // The scratch-free convenience overload must agree as well.
-      const auto got_plain = extract_candidate(w.pg.netlist, ord, kind);
-      expect_candidate_identical(got_plain, want, "plain overload");
     }
   }
 }
@@ -318,20 +315,18 @@ TEST(RefineEquivalence, ArenaRefineMatchesAllocatingReference) {
   for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
     for (const std::size_t extra_seeds : {std::size_t{0}, std::size_t{3}}) {
       for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
-        const auto initial = reference_extract_candidate(
-            w.pg.netlist, w.orderings[oi], kind, {}, {});
+        const auto initial =
+            reference_extract_candidate(w.pg.netlist, w.orderings[oi], kind);
         if (!initial) continue;
-        RefineConfig rcfg;
-        rcfg.extra_seeds = extra_seeds;
         const std::uint64_t rng_seed = 500 + oi;
         Rng ref_rng(rng_seed);
         Rng fast_rng(rng_seed);
         const Candidate want = reference_refine_candidate(
-            w.pg.netlist, *initial, ref_engine, ctx, kind, rcfg, {}, {},
+            w.pg.netlist, *initial, ref_engine, ctx, kind, extra_seeds,
             ref_rng);
-        const Candidate got = refine_candidate(
-            w.pg.netlist, *initial, fast_engine, arena, ctx, kind, rcfg, {},
-            {}, fast_rng);
+        const Candidate got = refine_candidate(w.pg.netlist, *initial,
+                                               fast_engine, arena, ctx, kind,
+                                               extra_seeds, fast_rng);
         expect_candidate_identical(got, want, "refine");
       }
     }

@@ -168,9 +168,7 @@ TEST(ClearMinimum, RejectsRightEdgeMinimum) {
 
 TEST(ClearMinimum, RespectsMinSize) {
   const auto curve = v_shape(1000, 10, 0.05);  // dip below min_size
-  MinimumConfig cfg;
-  cfg.min_size = 30;
-  const auto m = find_clear_minimum(curve, cfg);
+  const auto m = find_clear_minimum(curve);
   // The detected minimum (if any) must be at >= min_size; with the dip at
   // 10, position 30 is the closest allowed point but the drop test fails
   // because the curve only rises after 30.
@@ -184,106 +182,64 @@ TEST(ClearMinimum, ShortCurveRejected) {
   EXPECT_FALSE(find_clear_minimum(tiny).has_value());
 }
 
-TEST(ClearMinimum, ConfigurableThreshold) {
-  const auto curve = v_shape(500, 200, 0.5);
-  MinimumConfig strict;
-  strict.accept_threshold = 0.3;
-  EXPECT_FALSE(find_clear_minimum(curve, strict).has_value());
-  MinimumConfig loose;
-  loose.accept_threshold = 0.75;
-  EXPECT_TRUE(find_clear_minimum(curve, loose).has_value());
-}
-
-// ---- edge_fraction / floor-arithmetic boundaries ----
-
-TEST(ClearMinimum, EdgeFractionZeroAdmitsFinalPoint) {
-  // With no right-edge guard (and the rise test disabled via factor 1),
-  // a minimum at the very last index is acceptable: last_valid ==
-  // floor(n * 1.0) == n exactly, with no off-by-one past the array.
-  std::vector<double> curve(100);
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    curve[i] = 2.0 - 1.98 * static_cast<double>(i) / 99.0;  // falls to 0.02
-  }
-  MinimumConfig cfg;
-  cfg.edge_fraction = 0.0;
-  cfg.rise_factor = 1.0;  // max_after == min itself must pass
-  const auto m = find_clear_minimum(curve, cfg);
+TEST(ClearMinimum, AcceptThresholdIsStrict) {
+  // The minimum must score strictly below kAcceptThreshold.
+  ASSERT_EQ(kAcceptThreshold, 0.75);
+  EXPECT_FALSE(find_clear_minimum(v_shape(500, 200, 0.75)).has_value());
+  const auto m = find_clear_minimum(v_shape(500, 200, 0.7499));
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->prefix_size, 100u);
-  // The default rise_factor (> 1) must still reject the same curve: a
-  // still-falling curve has no boundary.
-  MinimumConfig guard;
-  guard.edge_fraction = 0.0;
-  EXPECT_FALSE(find_clear_minimum(curve, guard).has_value());
+  EXPECT_EQ(m->prefix_size, 200u);
 }
 
-TEST(ClearMinimum, EdgeFractionHalfSearchesFirstHalfOnly) {
-  // edge_fraction = 0.5 (the validation maximum): only k <= n/2 are
-  // eligible.  A dip at 60 of 100 is out of reach — the search clamps to
-  // the best eligible point on the falling flank, k = 50.
-  const auto curve = v_shape(100, 60, 0.05);
-  MinimumConfig cfg;
-  cfg.edge_fraction = 0.5;
-  const auto clamped = find_clear_minimum(curve, cfg);
-  ASSERT_TRUE(clamped.has_value());
-  EXPECT_EQ(clamped->prefix_size, 50u);
-  EXPECT_EQ(clamped->value, curve[49]);
-  // A dip inside the eligible half is found exactly.
-  const auto early = v_shape(100, 40, 0.05);
-  const auto m = find_clear_minimum(early, cfg);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->prefix_size, 40u);
-}
+// ---- right-edge guard / floor-arithmetic boundaries ----
 
 TEST(ClearMinimum, LastValidBelowMinSizeRejected) {
-  // n = 40 with edge_fraction = 0.5: last_valid = 20 < min_size = 30,
-  // so there is no eligible k at all — must return nullopt instead of
-  // scanning an empty (or inverted) range.
-  const auto curve = v_shape(40, 20, 0.01);
-  MinimumConfig cfg;
-  cfg.edge_fraction = 0.5;
-  ASSERT_EQ(cfg.min_size, 30u);
-  EXPECT_FALSE(find_clear_minimum(curve, cfg).has_value());
+  // n = 30: last_valid = floor(30 * 0.98) = 29 < min_size = 30, so there
+  // is no eligible k at all — must return nullopt instead of scanning an
+  // empty (or inverted) range.
+  ASSERT_EQ(kMinCandidateSize, 30u);
+  const auto curve = v_shape(30, 15, 0.01);
+  EXPECT_FALSE(find_clear_minimum(curve).has_value());
+}
+
+TEST(ClearMinimum, FloorBoundaryExactFraction) {
+  // n = 1000 gives last_valid = floor(1000 * 0.98) = 980.  A dip at 980
+  // is eligible and found exactly; a dip at 981 is one past the boundary
+  // and the search clamps to 980 on the falling flank.
+  ASSERT_EQ(kEdgeFraction, 0.02);
+  const auto at980 = v_shape(1000, 980, 0.05);
+  const auto m = find_clear_minimum(at980);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->prefix_size, 980u);
+
+  const auto at981 = v_shape(1000, 981, 0.05);
+  const auto m981 = find_clear_minimum(at981);
+  ASSERT_TRUE(m981.has_value());
+  EXPECT_EQ(m981->prefix_size, 980u);
+  EXPECT_EQ(m981->value, at981[979]);
 }
 
 TEST(ClearMinimum, AllEqualCurve) {
   // A flat curve has a "minimum" at min_size but no drop before it and
-  // no rise after it: rejected under the default factors, accepted when
-  // both factors are relaxed to exactly 1 (max == min passes >=).
+  // no rise after it: rejected.
   const std::vector<double> flat(200, 0.3);
   EXPECT_FALSE(find_clear_minimum(flat).has_value());
-
-  MinimumConfig relaxed;
-  relaxed.drop_factor = 1.0;
-  relaxed.rise_factor = 1.0;
-  const auto m = find_clear_minimum(flat, relaxed);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->prefix_size, relaxed.min_size);  // first eligible k wins ties
-  EXPECT_EQ(m->value, 0.3);
-
-  // A flat curve above the accept threshold stays rejected even relaxed.
-  const std::vector<double> high(200, 0.9);
-  EXPECT_FALSE(find_clear_minimum(high, relaxed).has_value());
 }
 
-TEST(ClearMinimum, FloorBoundaryExactFraction) {
-  // edge_fraction = 0.25 (exactly representable, so the floor arithmetic
-  // is deterministic): n = 100 gives last_valid = 75.  A dip at 75 is
-  // eligible and found exactly; a dip at 76 is one past the boundary and
-  // the search clamps to 75 on the falling flank.
-  MinimumConfig cfg;
-  cfg.edge_fraction = 0.25;
-  cfg.rise_factor = 1.0;  // isolate the edge guard from the rise test
-  const auto at75 = v_shape(100, 75, 0.05);
-  const auto m = find_clear_minimum(at75, cfg);
+TEST(ClearMinimum, FirstOfEqualDipsWins) {
+  // A W-shaped curve with two equally deep dips, at 300 and 600: the
+  // strict-< scan keeps the first.
+  std::vector<double> curve(1000);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    const double x = static_cast<double>(i + 1);
+    curve[i] = 0.05 + 1.2 * std::min(std::abs(x - 300.0),
+                                      std::abs(x - 600.0)) / 300.0;
+  }
+  ASSERT_EQ(curve[299], curve[599]);
+  const auto m = find_clear_minimum(curve);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->prefix_size, 75u);
-
-  const auto at76 = v_shape(100, 76, 0.05);
-  const auto m76 = find_clear_minimum(at76, cfg);
-  ASSERT_TRUE(m76.has_value());
-  EXPECT_EQ(m76->prefix_size, 75u);
-  EXPECT_EQ(m76->value, at76[74]);
+  EXPECT_EQ(m->prefix_size, 300u);
+  EXPECT_EQ(m->value, 0.05);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "graphgen/planted_graph.hpp"
@@ -38,21 +41,6 @@ TEST(GroupConnectivity, AbsorbedNetLeavesCut) {
   EXPECT_EQ(g.cut(), 1);
   g.add(2);
   EXPECT_EQ(g.cut(), 0);
-}
-
-TEST(GroupConnectivity, RemoveInvertsAdd) {
-  const Netlist nl = testing::make_two_cliques();
-  GroupConnectivity g(nl);
-  for (CellId c : {0, 1, 2, 3}) g.add(c);
-  const auto cut_before = g.cut();
-  const auto pins_before = g.pins_in_group();
-  const double abs_before = g.absorption();
-  g.add(4);
-  g.remove(4);
-  EXPECT_EQ(g.cut(), cut_before);
-  EXPECT_EQ(g.pins_in_group(), pins_before);
-  EXPECT_NEAR(g.absorption(), abs_before, 1e-12);
-  EXPECT_EQ(g.size(), 4u);
 }
 
 TEST(GroupConnectivity, CliqueGroupHasUnitCut) {
@@ -94,20 +82,6 @@ TEST(GroupConnectivity, PinsInTracksPerNet) {
   EXPECT_EQ(g.pins_out(0), 2u);
 }
 
-TEST(GroupConnectivity, CutDeltaIfAddedMatchesActualAdd) {
-  const Netlist nl = testing::make_two_cliques();
-  GroupConnectivity g(nl);
-  g.add(0);
-  g.add(1);
-  for (CellId c : {CellId{2}, CellId{3}, CellId{4}, CellId{7}}) {
-    const auto predicted = g.cut_delta_if_added(c);
-    const auto before = g.cut();
-    g.add(c);
-    EXPECT_EQ(g.cut() - before, predicted) << "cell " << c;
-    g.remove(c);
-  }
-}
-
 TEST(GroupConnectivity, ClearResetsEverything) {
   const Netlist nl = testing::make_grid3x3();
   GroupConnectivity g(nl);
@@ -143,12 +117,6 @@ TEST(GroupConnectivity, DoubleAddThrows) {
   EXPECT_THROW(g.add(0), std::logic_error);
 }
 
-TEST(GroupConnectivity, RemoveAbsentThrows) {
-  const Netlist nl = testing::make_grid3x3();
-  GroupConnectivity g(nl);
-  EXPECT_THROW(g.remove(0), std::logic_error);
-}
-
 TEST(GroupConnectivity, MatchesBruteForceOnRandomGraph) {
   PlantedGraphConfig cfg;
   cfg.num_cells = 400;
@@ -168,27 +136,61 @@ TEST(GroupConnectivity, MatchesBruteForceOnRandomGraph) {
   EXPECT_EQ(g.cut(), net_cut(pg.netlist, members));
 }
 
-TEST(GroupConnectivity, IncrementalMatchesBruteForceAfterRemovals) {
+TEST(GroupConnectivity, ReusedTrackerMatchesFreshTracker) {
+  // Many clear()/assign() cycles on one tracker: per-net counts left by
+  // earlier groups must never leak into later ones.
   PlantedGraphConfig cfg;
-  cfg.num_cells = 200;
-  Rng rng(5);
-  const PlantedGraph pg = generate_planted_graph(cfg, rng);
+  cfg.num_cells = 300;
+  cfg.gtls.push_back({37, 1});
+  Rng graph_rng(9);
+  const PlantedGraph pg = generate_planted_graph(cfg, graph_rng);
+  const Netlist& nl = pg.netlist;
+  GroupConnectivity reused(nl);
+  Rng rng(31);
 
-  GroupConnectivity g(pg.netlist);
-  std::vector<CellId> members;
-  Rng pick(33);
-  for (int i = 0; i < 80; ++i) {
-    const auto c = static_cast<CellId>(pick.next_below(200));
-    if (g.contains(c)) {
-      g.remove(c);
-      members.erase(std::find(members.begin(), members.end(), c));
-    } else {
-      g.add(c);
-      members.push_back(c);
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    std::set<CellId> want;
+    const std::size_t target = 1 + rng.next_below(40);
+    while (want.size() < target) {
+      want.insert(static_cast<CellId>(rng.next_below(nl.num_cells())));
     }
+    const std::vector<CellId> members(want.begin(), want.end());
+    reused.assign(members);
+
+    GroupConnectivity fresh(nl);
+    for (const CellId c : members) fresh.add(c);
+
+    ASSERT_EQ(reused.cut(), fresh.cut()) << "cycle " << cycle;
+    ASSERT_EQ(reused.pins_in_group(), fresh.pins_in_group());
+    ASSERT_DOUBLE_EQ(reused.absorption(), fresh.absorption());
+    for (NetId e = 0; e < nl.num_nets(); ++e) {
+      ASSERT_EQ(reused.pins_in(e), fresh.pins_in(e))
+          << "cycle " << cycle << " net " << e;
+    }
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      ASSERT_EQ(reused.contains(c), want.count(c) != 0)
+          << "cycle " << cycle << " cell " << c;
+    }
+
+    // Against brute-force recomputation from the member list.
+    ASSERT_TRUE(std::equal(reused.members().begin(), reused.members().end(),
+                           members.begin(), members.end()));
+    ASSERT_EQ(reused.cut(), net_cut(nl, members));
+    std::size_t pins = 0;
+    for (const CellId c : members) pins += nl.cell_degree(c);
+    ASSERT_EQ(reused.pins_in_group(), pins);
+    double absorption = 0.0;
+    for (NetId e = 0; e < nl.num_nets(); ++e) {
+      const std::uint32_t size = nl.net_size(e);
+      std::uint32_t inside = 0;
+      for (const CellId c : nl.pins_of(e)) inside += want.count(c);
+      if (size >= 2 && inside >= 1) {
+        absorption +=
+            static_cast<double>(inside - 1) / static_cast<double>(size - 1);
+      }
+    }
+    ASSERT_NEAR(reused.absorption(), absorption, 1e-9);
   }
-  EXPECT_EQ(g.cut(), net_cut(pg.netlist, members));
-  EXPECT_EQ(g.size(), members.size());
 }
 
 }  // namespace
