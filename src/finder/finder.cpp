@@ -1,12 +1,10 @@
 #include "finder/finder.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
 #include "util/require.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
 #include "util/timer.hpp"
 
@@ -223,14 +221,16 @@ void Finder::finish_extraction(ExtractionSlots& slots, double seconds) {
   candidates_.context.avg_pins_per_cell = nl_->average_pins_per_cell();
 
   // Global Rent exponent: mean of the per-ordering estimates (paper
-  // §3.2.2), collected in seed order; all Phase III scoring uses this
+  // §3.2.2), summed in seed order; all Phase III scoring uses this
   // shared context.
-  std::vector<double> valid_rents;
+  double rent_sum = 0.0;
+  std::size_t rent_count = 0;
   for (const double p : slots.rent) {
-    if (p >= 0.0) valid_rents.push_back(p);
+    if (p < 0.0) continue;
+    rent_sum += p;
+    ++rent_count;
   }
-  candidates_.context.rent_exponent =
-      valid_rents.empty() ? 0.6 : std::clamp(mean(valid_rents), 0.1, 1.0);
+  candidates_.context.rent_exponent = mean_rent_exponent(rent_sum, rent_count);
 
   // Deduplicate identical candidates in seed order (same member list =>
   // same refined outcome; pruning would discard the duplicates anyway).
@@ -313,25 +313,14 @@ const FinderResult& Finder::refine_and_prune() {
   std::vector<std::uint8_t> refine_done(n, 0);
   pool_.parallel_for(n, [&](std::size_t i, std::size_t w) {
     if (honor_token && cancel_requested()) return;
-    if (cfg_.refine_seeds == 0) {
-      // Candidate member lists are sorted by construction (Phase II
-      // sorts every extraction), as scored_candidate requires.
-      const std::vector<CellId>& cells = initial[i].cells;
-      const GroupMeasure m = engine_for(w).measure(cells);
-      Candidate c =
-          scored_candidate(cells, m.cut, m.pins, result_.context, cfg_.score);
-      c.seed = initial[i].seed;
-      refined[i] = std::move(c);
-    } else {
-      // The refine path runs entirely on this worker's reused scratch:
-      // its engine (re-growths and the family's measures) and the
-      // family arena.  The RNG still derives from the item index, so
-      // results are schedule-independent.
-      Rng rng(mix_seed(cfg_.rng_seed, 0x5EEDBEEF + i));
-      refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
-                                    scratch_[w].arena, result_.context,
-                                    cfg_.score, cfg_.refine_seeds, rng);
-    }
+    // Refinement runs entirely on this worker's reused scratch: its
+    // engine (re-growths and the family's measures) and the family
+    // arena.  The RNG still derives from the item index, so results are
+    // schedule-independent.
+    Rng rng(mix_seed(cfg_.rng_seed, 0x5EEDBEEF + i));
+    refined[i] = refine_candidate(*nl_, initial[i], engine_for(w),
+                                  scratch_[w].arena, result_.context,
+                                  cfg_.score, cfg_.refine_seeds, rng);
     refine_done[i] = 1;
     notify_candidate_refined(n);
   });

@@ -40,7 +40,8 @@ struct RefineArena {
 /// is all Φ needs; `arena` is caller-owned scratch (reused across
 /// candidates — the zero-alloc steady state); `ctx` is the shared scoring
 /// context so family members are comparable.  Family members below
-/// kMinCandidateSize cannot win; the initial candidate is the fallback.
+/// kMinCandidateSize cannot win; the initial candidate is the fallback,
+/// so at 0 `extra_seeds` it comes back re-scored with `ctx`.
 /// Precondition: `initial.cells` is sorted by cell id (every Candidate
 /// producer sorts).  Only the winning family member is materialized into
 /// a Candidate; losers are scored in place with no copies, sorts, or

@@ -14,40 +14,26 @@ static_assert(kRentMinK >= 2 && kMinCandidateSize >= 1);
 
 ScoreCurve compute_score_curve(const Netlist& nl,
                                const LinearOrdering& ordering) {
-  GTL_REQUIRE(!ordering.cells.empty(), "ordering is empty");
-  const std::size_t n = ordering.cells.size();
-  GTL_REQUIRE(ordering.prefix_cut.size() == n &&
-                  ordering.prefix_pins.size() == n,
-              "ordering prefix arrays inconsistent");
-
+  CurveScratch scratch;
+  const SelectedScoreCurve ngtl =
+      compute_selected_curve(nl, ordering, ScoreKind::kNgtlS, scratch);
+  // The selected curve's arithmetic skips the scores' preconditions
+  // (A_G > 0 here, T >= 0 below); this API keeps them.
+  GTL_REQUIRE(ngtl.context.avg_pins_per_cell > 0.0, "A(G) must be positive");
   ScoreCurve out;
-  out.context.avg_pins_per_cell = nl.average_pins_per_cell();
+  out.rent_exponent = ngtl.rent_exponent;
+  out.context = ngtl.context;
+  out.ngtl_s.assign(ngtl.values.begin(), ngtl.values.end());
+  const SelectedScoreCurve sd =
+      compute_selected_curve(nl, ordering, ScoreKind::kGtlSd, scratch);
+  out.gtl_sd.assign(sd.values.begin(), sd.values.end());
 
-  // Rent exponent: mean over prefixes of the paper's per-group estimate.
-  double p_sum = 0.0;
-  std::size_t p_count = 0;
-  for (std::size_t k = kRentMinK; k <= n; ++k) {
-    const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
-    const double a_c = static_cast<double>(ordering.prefix_pins[k - 1]) /
-                       static_cast<double>(k);
-    p_sum += group_rent_exponent(cut, static_cast<double>(k), a_c);
-    ++p_count;
-  }
-  out.rent_exponent = p_count > 0 ? p_sum / static_cast<double>(p_count) : 0.6;
-  out.rent_exponent = std::clamp(out.rent_exponent, 0.1, 1.0);
-  out.context.rent_exponent = out.rent_exponent;
-
-  out.ngtl_s.resize(n);
-  out.gtl_sd.resize(n);
+  const std::size_t n = ordering.cells.size();
   out.ratio_cut.resize(n);
   for (std::size_t k = 1; k <= n; ++k) {
     const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
-    const auto size = static_cast<double>(k);
-    const double a_c =
-        static_cast<double>(ordering.prefix_pins[k - 1]) / size;
-    out.ngtl_s[k - 1] = ngtl_score(cut, size, out.context);
-    out.gtl_sd[k - 1] = gtl_sd_score(cut, size, a_c, out.context);
-    out.ratio_cut[k - 1] = ratio_cut(cut, size);
+    GTL_REQUIRE(cut >= 0.0, "cut must be non-negative");
+    out.ratio_cut[k - 1] = ratio_cut(cut, static_cast<double>(k));
   }
   return out;
 }
@@ -99,9 +85,9 @@ SelectedScoreCurve compute_selected_curve(const Netlist& nl,
     }
   }
 
-  // Rent pass: the same k-order accumulation as compute_score_curve, with
-  // ln k and ln T read from the memo tables (same std::log call, same
-  // argument => same bits).
+  // Rent pass: group_rent_exponent summed in k order, with ln k and ln T
+  // read from the memo tables (same std::log call, same argument => same
+  // bits).
   double p_sum = 0.0;
   std::size_t p_count = 0;
   for (std::size_t k = kRentMinK; k <= n; ++k) {
@@ -112,8 +98,7 @@ SelectedScoreCurve compute_selected_curve(const Netlist& nl,
         static_cast<double>(k), a_c, scratch.log_k[k]);
     ++p_count;
   }
-  out.rent_exponent = p_count > 0 ? p_sum / static_cast<double>(p_count) : 0.6;
-  out.rent_exponent = std::clamp(out.rent_exponent, 0.1, 1.0);
+  out.rent_exponent = mean_rent_exponent(p_sum, p_count);
   out.context.rent_exponent = out.rent_exponent;
 
   // Score pass: only the curve the caller selects minima on (the other Φ

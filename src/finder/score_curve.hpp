@@ -19,6 +19,7 @@
 // These thresholds and the Rent estimate's floor are one fixed policy,
 // owned here as constants; every Phase II/III caller uses them.
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -43,6 +44,15 @@ inline constexpr double kRiseFactor = 1.3;
 inline constexpr double kEdgeFraction = 0.02;
 /// Smallest prefix used for Rent-exponent estimation.
 inline constexpr std::size_t kRentMinK = 10;
+
+/// The Rent exponent from `count` estimates that sum to `sum` (added in
+/// order): their mean clamped to [0.1, 1], or 0.6 when there are none.
+/// One rule for an ordering's estimate (over its prefixes) and the
+/// finder's global one (over its orderings).
+[[nodiscard]] inline double mean_rent_exponent(double sum, std::size_t count) {
+  if (count == 0) return 0.6;
+  return std::clamp(sum / static_cast<double>(count), 0.1, 1.0);
+}
 
 /// Which Φ drives candidate selection and pruning.
 enum class ScoreKind {
@@ -69,7 +79,8 @@ struct ScoreCurve {
 };
 
 /// Compute the score curves of an ordering.  A_G is taken from the
-/// netlist; the Rent exponent is estimated from the ordering itself.
+/// netlist and must be positive; the Rent exponent is estimated from the
+/// ordering itself.  Both Φ curves are compute_selected_curve's.
 [[nodiscard]] ScoreCurve compute_score_curve(const Netlist& nl,
                                              const LinearOrdering& ordering);
 
@@ -92,11 +103,11 @@ struct CurveScratch {
 };
 
 /// One score curve instead of three: the Φ the finder actually selects
-/// minima on.  Everything is bitwise-identical to the corresponding
-/// ScoreCurve fields (pinned by tests/finder/score_curve_equivalence_
-/// test.cpp, which embeds the full three-curve implementation as a
-/// reference): the rent estimate runs the same k-order accumulation, and
-/// values(kind)[k-1] is the same arithmetic as ngtl_score/gtl_sd_score.
+/// minima on, and the only curve implementation (compute_score_curve
+/// calls it once per Φ).  Everything is bitwise-identical to the three-
+/// curve reference that tests/finder/score_curve_equivalence_test.cpp
+/// embeds: the rent estimate is group_rent_exponent summed in k order,
+/// and values[k-1] is the same arithmetic as ngtl_score/gtl_sd_score.
 /// The other Φ at a chosen k is one extra call with `context` — see
 /// candidate_at_minimum.  Costs ~1 transcendental per prefix (vs 5) and no
 /// allocation in steady state; full fusion into one pass is impossible

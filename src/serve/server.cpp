@@ -36,9 +36,26 @@ Status Server::preload(const std::string& name, BookshelfDesign design) {
   GTL_RETURN_IF_ERROR(registry_.insert(name, std::move(design), &info));
   (void)manifest_apply("", nullptr, info.evicted);
   MutexLock lk(metrics_mu_);
-  ++metrics_.designs_loaded;
-  metrics_.designs_evicted += info.evicted.size();
+  count_load(info);
   return Status::ok();
+}
+
+Status Server::preload(const std::string& name,
+                       const std::filesystem::path& aux,
+                       const std::filesystem::path& snapshot,
+                       DesignRegistry::LoadInfo* info) {
+  GTL_RETURN_IF_ERROR(registry_.load(name, aux, snapshot, info));
+  (void)manifest_apply("", nullptr, info->evicted);
+  MutexLock lk(metrics_mu_);
+  count_load(*info);
+  return Status::ok();
+}
+
+void Server::count_load(const DesignRegistry::LoadInfo& info) {
+  ++metrics_.designs_loaded;
+  if (info.snapshot_hit) ++metrics_.snapshot_hits;
+  if (info.fill_failed) ++metrics_.snapshot_fill_failures;
+  metrics_.designs_evicted += info.evicted.size();
 }
 
 Status Server::manifest_apply(const std::string& record_name,
@@ -95,11 +112,8 @@ Status Server::recover_from_manifest(RecoveryReport* report) {
     survivors[name] = entry;
     ++report->recovered;
     MutexLock lk(metrics_mu_);
-    ++metrics_.designs_loaded;
+    count_load(info);
     ++metrics_.designs_recovered;
-    if (info.snapshot_hit) ++metrics_.snapshot_hits;
-    if (info.fill_failed) ++metrics_.snapshot_fill_failures;
-    metrics_.designs_evicted += info.evicted.size();
   }
 
   MutexLock lk(manifest_mu_);
@@ -456,10 +470,7 @@ void Server::execute_load(Job& job) {
   }
   {
     MutexLock lk(metrics_mu_);
-    ++metrics_.designs_loaded;
-    if (info.snapshot_hit) ++metrics_.snapshot_hits;
-    if (info.fill_failed) ++metrics_.snapshot_fill_failures;
-    metrics_.designs_evicted += info.evicted.size();
+    count_load(info);
     ++metrics_.completed_ok;
   }
 

@@ -116,6 +116,17 @@ class Server {
   [[nodiscard]] Status preload(const std::string& name, BookshelfDesign design)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
 
+  /// Load a design from `aux` and/or `snapshot` (gtl_serve --preload-*)
+  /// with load_design's registry, eviction and stats bookkeeping, and
+  /// report the load in `info`.  Designs it evicts leave the manifest;
+  /// the preload itself stays out of it, since its flags re-preload it
+  /// on restart.
+  [[nodiscard]] Status preload(const std::string& name,
+                               const std::filesystem::path& aux,
+                               const std::filesystem::path& snapshot,
+                               DesignRegistry::LoadInfo* info)
+      GTL_EXCLUDES(manifest_mu_, metrics_mu_);
+
   /// What a manifest replay did.
   struct RecoveryReport {
     std::size_t attempted = 0;  ///< manifest entries seen
@@ -160,7 +171,6 @@ class Server {
   void stop() GTL_EXCLUDES(queue_mu_, inflight_mu_);
 
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
-  [[nodiscard]] DesignRegistry& registry() { return registry_; }
 
  private:
   /// A run_finder in flight (queued or executing); `cancel` and the
@@ -218,6 +228,10 @@ class Server {
 
   void reply_error(const Job& job, ErrorCode code, const std::string& msg,
                    std::uint64_t retry_after_ms = 0);
+  /// Count one registry load in the stats: the load itself, its snapshot
+  /// hit or fill failure, and the designs it evicted.
+  void count_load(const DesignRegistry::LoadInfo& info)
+      GTL_REQUIRES(metrics_mu_);
   /// Record (`record` non-null) and/or forget manifest entries, then
   /// persist atomically.  No-op without a manifest path.  A failed write
   /// bumps manifest_write_failures and is returned for the caller's

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "graphgen/planted_graph.hpp"
 #include "test_helpers.hpp"
@@ -24,6 +26,20 @@ struct RefineFixture {
     f.ctx.avg_pins_per_cell = f.pg.netlist.average_pins_per_cell();
     return f;
   }
+
+  /// The GTL minus 10% of its cells, plus 40 background cells; sorted.
+  [[nodiscard]] std::vector<CellId> sloppy_members() const {
+    const std::vector<CellId>& gtl = pg.gtl_members[0];
+    std::vector<CellId> sloppy(gtl.begin(), gtl.end() - 40);
+    for (CellId c = 0, added = 0; added < 40 && c < 6000; ++c) {
+      if (!std::binary_search(gtl.begin(), gtl.end(), c)) {
+        sloppy.push_back(c);
+        ++added;
+      }
+    }
+    std::sort(sloppy.begin(), sloppy.end());
+    return sloppy;
+  }
 };
 
 TEST(Refine, ImprovesSloppyCandidate) {
@@ -32,16 +48,7 @@ TEST(Refine, ImprovesSloppyCandidate) {
   const auto f = RefineFixture::make();
   GroupConnectivity group(f.pg.netlist);
 
-  std::vector<CellId> sloppy(f.pg.gtl_members[0].begin(),
-                             f.pg.gtl_members[0].end() - 40);
-  for (CellId c = 0, added = 0; added < 40 && c < 6000; ++c) {
-    if (!std::binary_search(f.pg.gtl_members[0].begin(),
-                            f.pg.gtl_members[0].end(), c)) {
-      sloppy.push_back(c);
-      ++added;
-    }
-  }
-  std::sort(sloppy.begin(), sloppy.end());
+  const std::vector<CellId> sloppy = f.sloppy_members();
   Candidate initial =
       score_members(sloppy, group, f.ctx, ScoreKind::kGtlSd);
   initial.seed = sloppy[0];
@@ -91,6 +98,39 @@ TEST(Refine, KeepsSeedAttribution) {
       refine_candidate(f.pg.netlist, initial, engine, arena, f.ctx,
                        ScoreKind::kGtlSd, 3, rng);
   EXPECT_EQ(refined.seed, 1234u);
+}
+
+TEST(Refine, ZeroExtraSeedsRescoresTheCandidate) {
+  // With no inner re-growths the family is the candidate and its copy;
+  // the copy ties and loses on the strict <, so refinement returns the
+  // candidate scored with the shared context, every field bit for bit.
+  const auto f = RefineFixture::make();
+  OrderingEngine engine(f.pg.netlist,
+                        {.max_length = 1200, .large_net_threshold = 20});
+  RefineArena arena;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::vector<CellId>& cells :
+       {f.pg.gtl_members[0], f.sloppy_members()}) {
+    for (const ScoreKind kind : {ScoreKind::kNgtlS, ScoreKind::kGtlSd}) {
+      Candidate initial;
+      initial.cells = cells;
+      initial.seed = cells[7];
+      Rng rng(12);
+      const Candidate got = refine_candidate(f.pg.netlist, initial, engine,
+                                             arena, f.ctx, kind, 0, rng);
+      const GroupMeasure m = engine.measure(cells);
+      Candidate want = scored_candidate(cells, m.cut, m.pins, f.ctx, kind);
+      want.seed = initial.seed;
+      EXPECT_EQ(got.cells, want.cells);
+      EXPECT_EQ(got.cut, want.cut);
+      EXPECT_EQ(bits(got.avg_pins), bits(want.avg_pins));
+      EXPECT_EQ(bits(got.ngtl_s), bits(want.ngtl_s));
+      EXPECT_EQ(bits(got.gtl_sd), bits(want.gtl_sd));
+      EXPECT_EQ(bits(got.score), bits(want.score));
+      EXPECT_EQ(got.seed, want.seed);
+      EXPECT_EQ(bits(got.rent_exponent_used), bits(want.rent_exponent_used));
+    }
+  }
 }
 
 TEST(Prune, KeepsBestOfOverlappingPair) {

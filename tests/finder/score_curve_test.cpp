@@ -115,6 +115,16 @@ TEST(ScoreCurve, EmptyOrderingThrows) {
   EXPECT_THROW((void)compute_score_curve(nl, empty), std::logic_error);
 }
 
+TEST(ScoreCurve, PinFreeNetlistThrows) {
+  // A_G = 0 leaves the normalized scores undefined.
+  const Netlist nl = testing::make_netlist(2, {});
+  LinearOrdering ordering;
+  ordering.cells = {0, 1};
+  ordering.prefix_cut = {0, 0};
+  ordering.prefix_pins = {0, 0};
+  EXPECT_THROW((void)compute_score_curve(nl, ordering), std::logic_error);
+}
+
 TEST(ScoreCurve, ValuesSelectorPicksRightVector) {
   const auto f = GtlFixture::make();
   const ScoreCurve c = compute_score_curve(f.pg.netlist, f.inside);

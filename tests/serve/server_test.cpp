@@ -19,6 +19,7 @@
 
 #include "finder/finder_json.hpp"
 #include "graphgen/planted_graph.hpp"
+#include "netlist/bookshelf.hpp"
 #include "netlist/netlist_io.hpp"
 #include "serve/client.hpp"
 #include "util/rng.hpp"
@@ -539,7 +540,8 @@ TEST(Server, SocketRoundTripWithClient) {
   JsonValue raw;
   ASSERT_TRUE(client.run_finder("d", &qcfg, 0, &over_wire, &raw).is_ok());
 
-  Finder direct(server.registry().find("d")->design.netlist, qcfg);
+  const BookshelfDesign design = planted_design();
+  Finder direct(design.netlist, qcfg);
   EXPECT_EQ(raw.dump(), deterministic_result_json(direct.run()).dump());
   EXPECT_EQ(over_wire.total_seconds, 0.0);
 
@@ -764,6 +766,48 @@ TEST(Server, LoadDesignOverWireFromSnapshot) {
   stop.store(true);
   serving.join();
   std::filesystem::remove(snap);
+}
+
+TEST(Server, FilePreloadDropsEvictedDesignsFromManifestAndCountsLoad) {
+  // gtl_serve --preload-* loads through Server::preload: a design the
+  // preload evicts must leave the manifest (a restart would otherwise
+  // re-load it only to evict it again), and stats must count the load.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gtl_server_preload_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  write_bookshelf(planted_design(11), dir, "a");
+  write_bookshelf(planted_design(12), dir, "b");
+
+  ServerConfig cfg;
+  cfg.manifest_path = dir / "manifest.json";
+  // Every design is over a 1-byte cap, so the registry holds one at a
+  // time and each load evicts the design before it.
+  cfg.max_resident_bytes = 1;
+  Server server(cfg);
+
+  JsonValue::Object load;
+  load.emplace("id", JsonValue(std::uint64_t{1}));
+  load.emplace("op", JsonValue("load_design"));
+  load.emplace("design", JsonValue("A"));
+  load.emplace("aux", JsonValue((dir / "a.aux").string()));
+  const JsonValue loaded =
+      parse(server.handle_line(JsonValue(std::move(load)).dump()));
+  ASSERT_EQ(loaded.find("error"), nullptr) << loaded.dump();
+  Manifest manifest;
+  ASSERT_TRUE(read_manifest(cfg.manifest_path, &manifest).is_ok());
+  ASSERT_EQ(manifest.count("A"), 1u);
+
+  DesignRegistry::LoadInfo info;
+  ASSERT_TRUE(server.preload("B", dir / "b.aux", "", &info).is_ok());
+  EXPECT_EQ(info.evicted, std::vector<std::string>{"A"});
+
+  ASSERT_TRUE(read_manifest(cfg.manifest_path, &manifest).is_ok());
+  EXPECT_EQ(manifest.count("A"), 0u);
+  EXPECT_EQ(manifest.count("B"), 0u);
+  EXPECT_EQ(global_counter(server, "designs_loaded"), 2u);
+  EXPECT_EQ(global_counter(server, "designs_evicted"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
 
   if (!preload_name.empty()) {
     gtl::serve::DesignRegistry::LoadInfo info;
-    if (const gtl::Status st = server.registry().load(
-            preload_name, preload_aux, preload_snapshot, &info);
+    if (const gtl::Status st = server.preload(preload_name, preload_aux,
+                                              preload_snapshot, &info);
         !st.is_ok()) {
       std::cerr << "gtl_serve: preload of \"" << preload_name
                 << "\" failed: " << st.to_string() << "\n";
