@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
@@ -19,10 +20,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // Zero-copy scanning layer.
 //
-// Each file is slurped in one gulp and tokenized in place: tokens are
-// string_views into the buffer, numbers go through std::from_chars, and
-// the per-line token vector is reused, so steady-state parsing allocates
-// only for the name bytes the Netlist itself packs and owns.
+// Tokens are string_views into the scanned bytes, numbers go through
+// std::from_chars, and the per-line token vector is reused, so
+// steady-state parsing allocates only for the name bytes the Netlist
+// itself packs and owns.  .nodes is scanned as one whole-file buffer,
+// because its names back the node-name index and the builder's copies
+// until .nets is done; every other file streams through one
+// kChunkBytes buffer (grown only for a longer line), so no copy of the
+// largest file, .nets, sits beside the netlist it builds.
 // The line-of-tokens shape deliberately mirrors the seed parser's
 // getline+istringstream structure so its accepted dialect is preserved
 // exactly (pinned by tests/netlist/bookshelf_equivalence_test.cpp):
@@ -31,6 +36,10 @@ namespace {
 //     (but "foo#bar" is one ordinary token);
 //   * lines whose first token is "UCLA" (the format header) are skipped.
 // ---------------------------------------------------------------------------
+
+/// Read size of the streamed files; below glibc's default mmap threshold,
+/// so the buffer is reused heap rather than a fresh mapping per file.
+constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
 
 constexpr bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
@@ -44,20 +53,49 @@ Status parse_fail(const std::filesystem::path& file, std::size_t line,
                              std::to_string(line) + ": " + what);
 }
 
+/// Keep the open-vs-mid-read distinction the file reader encodes.
+Status read_fail(const std::filesystem::path& path, const Status& st) {
+  if (st.code() == StatusCode::kNotFound) {
+    return Status::parse_error("bookshelf: cannot open " + path.string());
+  }
+  return Status::parse_error("bookshelf: " + st.message());
+}
+
 class Scanner {
  public:
+  /// Scan `data`, a whole file the caller keeps alive: token views stay
+  /// valid as long as `data` does.
   Scanner(const std::filesystem::path& file, std::string_view data)
-      : file_(file), data_(data) {}
+      : file_(file), data_(data), eof_(true), file_bytes_(data.size()) {}
 
-  /// Advance to the next line with content; false at EOF.  Tokens are
-  /// valid until the next call.
+  /// Scan `file` as it is read, kChunkBytes at a time (call open()
+  /// first): token views are valid until the next next_line().
+  explicit Scanner(const std::filesystem::path& file) : file_(file) {}
+
+  [[nodiscard]] Status open() {
+    if (const Status st = in_.open(file_); !st.is_ok()) {
+      return read_fail(file_, st);
+    }
+    file_bytes_ = in_.size();
+    return Status::ok();
+  }
+
+  /// Advance to the next line with content; false at EOF or when a read
+  /// fails (io_status() then says why).  Tokens are valid as above.
   bool next_line() {
-    while (pos_ < data_.size()) {
-      ++lineno_;
+    for (;;) {
       std::size_t eol = data_.find('\n', pos_);
-      if (eol == std::string_view::npos) eol = data_.size();
+      if (eol == std::string_view::npos) {
+        if (!eof_) {
+          if (!refill()) return false;
+          continue;
+        }
+        if (pos_ >= data_.size()) return false;
+        eol = data_.size();
+      }
+      ++lineno_;
       const std::string_view line = data_.substr(pos_, eol - pos_);
-      pos_ = eol + 1;  // past the newline (or one past the end: loop exits)
+      pos_ = eol + 1;  // past the newline (or one past the end: EOF)
       toks_.clear();
       std::size_t i = 0;
       while (i < line.size()) {
@@ -71,23 +109,55 @@ class Scanner {
       if (toks_[0] == "UCLA") continue;  // format header
       return true;
     }
-    return false;
   }
 
+  /// Ok unless a read failed, which also ends next_line().
+  [[nodiscard]] const Status& io_status() const { return io_; }
   [[nodiscard]] const std::vector<std::string_view>& tokens() const {
     return toks_;
   }
   [[nodiscard]] std::size_t lineno() const { return lineno_; }
-  [[nodiscard]] const std::filesystem::path& file() const { return file_; }
+  /// The file's size, the cap for reservations sized from declared counts.
+  [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
 
   [[nodiscard]] Status fail(const std::string& what) const {
     return parse_fail(file_, lineno_, what);
   }
 
  private:
+  /// Move the unfinished line to the front of the chunk and read behind
+  /// it, doubling the chunk when that line already fills it.
+  bool refill() {
+    const std::size_t keep = data_.size() - pos_;
+    if (chunk_.empty()) {
+      chunk_.resize(kChunkBytes);
+    } else if (keep == chunk_.size()) {
+      chunk_.resize(2 * chunk_.size());
+    }
+    if (keep != 0 && pos_ != 0) {
+      std::memmove(chunk_.data(), chunk_.data() + pos_, keep);
+    }
+    std::size_t got = 0;
+    if (const Status st =
+            in_.read_some(chunk_.data() + keep, chunk_.size() - keep, &got);
+        !st.is_ok()) {
+      io_ = read_fail(file_, st);
+      return false;
+    }
+    eof_ = got == 0;
+    data_ = std::string_view(chunk_.data(), keep + got);
+    pos_ = 0;
+    return true;
+  }
+
   const std::filesystem::path& file_;
-  std::string_view data_;
+  std::string_view data_;  // the bytes in hand; scanning resumes at pos_
   std::size_t pos_ = 0;
+  bool eof_ = false;
+  std::uint64_t file_bytes_ = 0;
+  FileReader in_;
+  std::string chunk_;
+  Status io_;
   std::size_t lineno_ = 0;
   std::vector<std::string_view> toks_;
 };
@@ -146,14 +216,129 @@ Status parse_decl_count(const Scanner& s, std::uint64_t* out) {
   return expect_count(s, toks[vi], out);
 }
 
-/// Names and index keys view into the .nodes file buffer (kept alive by
-/// the caller until the builder has copied the names), so .nets/.pl
-/// lookups hash raw token views and no node holds a string of its own.
+/// Word-at-a-time multiply–xorshift hash of a node name.
+std::uint64_t hash_name(std::string_view name) {
+  constexpr std::uint64_t kMul = 0x9E37'79B9'7F4A'7C15ull;
+  std::uint64_t h = name.size() * kMul;
+  const char* p = name.data();
+  std::size_t n = name.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * kMul;
+    h ^= h >> 29;
+  }
+  if (n != 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = (h ^ w) * kMul;
+  }
+  h ^= h >> 32;
+  h *= 0xD6E8'FEB8'6659'FD93ull;
+  return h ^ (h >> 32);
+}
+
+/// Node name -> CellId over names that live elsewhere (`names`, views
+/// into the .nodes buffer).  Open addressing with linear probing over
+/// power-of-two slots, kept at most 3/4 full (a probe run mostly stays in
+/// one cache line of four slots): the table is sized from the declared
+/// NumNodes and doubles when a missing or understated count lets it
+/// fill.  A slot holds id + 1 (0 = empty), the name's first 8
+/// bytes and a tag of hash bits plus the length (saturated at 15), so a
+/// name of up to 8 bytes is matched inside the slot and a longer one
+/// reads its bytes only when head and tag both match.
+class NodeIndex {
+ public:
+  explicit NodeIndex(const std::vector<std::string_view>& names)
+      : names_(names) {}
+
+  /// Room for `n` names without growing.
+  void reserve(std::size_t n) {
+    if (4 * n > 3 * slots_.size()) rehash(n);
+  }
+
+  /// Index names[id]; false (nothing changes) when an equal name is
+  /// already indexed.
+  bool insert(CellId id) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) rehash(slots_.size());
+    const std::string_view name = names_[id];
+    const Key k = key_of(name);
+    for (std::size_t i = k.hash & mask_;; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.id_plus_one == 0) {
+        s = {k.head, id + 1, k.tag};
+        ++size_;
+        return true;
+      }
+      if (matches(s, k, name)) return false;
+    }
+  }
+
+  /// The id of `name`, or kInvalidCell.
+  [[nodiscard]] CellId find(std::string_view name) const {
+    if (size_ == 0) return kInvalidCell;
+    const Key k = key_of(name);
+    for (std::size_t i = k.hash & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id_plus_one == 0) return kInvalidCell;
+      if (matches(s, k, name)) return s.id_plus_one - 1;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t head = 0;
+    std::uint32_t id_plus_one = 0;
+    std::uint32_t tag = 0;
+  };
+  struct Key {
+    std::uint64_t hash;
+    std::uint64_t head;
+    std::uint32_t tag;
+  };
+
+  static Key key_of(std::string_view name) {
+    Key k{hash_name(name), 0, 0};
+    std::memcpy(&k.head, name.data(), std::min<std::size_t>(8, name.size()));
+    k.tag = (static_cast<std::uint32_t>(k.hash >> 32) & ~0xFu) |
+            static_cast<std::uint32_t>(std::min<std::size_t>(name.size(), 15));
+    return k;
+  }
+  bool matches(const Slot& s, const Key& k, std::string_view name) const {
+    return s.tag == k.tag && s.head == k.head &&
+           (name.size() <= 8 || names_[s.id_plus_one - 1] == name);
+  }
+
+  /// Grow to the smallest power of two (>= 16) that holds `names` names
+  /// at most 3/4 full, and re-place every entry.
+  void rehash(std::size_t names) {
+    std::size_t cap = 16;
+    while (3 * cap < 4 * names) cap *= 2;
+    std::vector<Slot> old(cap);
+    old.swap(slots_);
+    mask_ = cap - 1;
+    for (const Slot& s : old) {
+      if (s.id_plus_one == 0) continue;
+      std::size_t i = hash_name(names_[s.id_plus_one - 1]) & mask_;
+      while (slots_[i].id_plus_one != 0) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  const std::vector<std::string_view>& names_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Names view into the .nodes file buffer (kept alive by the caller
+/// until the builder has copied the names), so .nets/.pl lookups hash raw
+/// token views and no node holds a string of its own.
 struct NodesData {
   std::vector<std::string_view> names;
   std::vector<double> widths, heights;
   std::vector<std::uint8_t> fixed;  // byte flags, matching NetlistBuilder
-  std::unordered_map<std::string_view, CellId> index;
+  NodeIndex index{names};
 };
 
 Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
@@ -175,7 +360,7 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
       // line is >= 6 bytes), so a lying count cannot force a huge
       // allocation before the mismatch check fires.
       const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(declared_nodes, buf.size() / 6 + 1));
+          std::min<std::uint64_t>(declared_nodes, s.file_bytes() / 6 + 1));
       d->names.reserve(n);
       d->widths.reserve(n);
       d->heights.reserve(n);
@@ -206,14 +391,14 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
       return s.fail("too many nodes (32-bit cell-id overflow)");
     }
     const auto id = static_cast<CellId>(d->names.size());
-    if (!d->index.emplace(toks[0], id).second) {
+    d->names.push_back(toks[0]);
+    if (!d->index.insert(id)) {
       return s.fail("duplicate node name '" + std::string(toks[0]) + "'");
     }
     double w = 0.0, h = 0.0;
     GTL_RETURN_IF_ERROR(expect_double(s, toks[1], &w));
     GTL_RETURN_IF_ERROR(expect_double(s, toks[2], &h));
     const bool terminal = toks.size() == 4;
-    d->names.push_back(toks[0]);
     // Zero-sized pads appear in real benchmarks; clamp like the seed
     // parser did so the Netlist's positive-area invariant holds.
     d->widths.push_back(std::max(1e-9, w));
@@ -236,15 +421,17 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
   return Status::ok();
 }
 
-Status parse_nets(const std::filesystem::path& path, std::string_view buf,
-                  const NodesData& nodes, NetlistBuilder* nb) {
-  Scanner s(path, buf);
+Status parse_nets(const std::filesystem::path& path, const NodesData& nodes,
+                  NetlistBuilder* nb) {
+  Scanner s(path);
+  GTL_RETURN_IF_ERROR(s.open());
+  const std::uint64_t file_bytes = s.file_bytes();
   std::uint64_t declared_nets = 0, declared_pins = 0;
   std::size_t declared_nets_line = 0, declared_pins_line = 0;
   std::vector<CellId> pins;
   bool net_open = false;
   std::uint64_t degree = 0;       // declared NetDegree of the open net
-  std::string_view net_name;      // view into buf; empty if unnamed
+  std::string net_name;           // outlives its chunk; empty if unnamed
   std::size_t net_line = 0;       // line of the open net's declaration
   std::size_t nets_done = 0, pins_seen = 0;
 
@@ -281,7 +468,7 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
       // NumNodes reservation; a NetDegree line is >= 12 bytes) so the
       // pin array does not grow by geometric realloc on the hot path.
       nb->reserve(0, static_cast<std::size_t>(std::min<std::uint64_t>(
-                         declared_nets, buf.size() / 12 + 1)),
+                         declared_nets, file_bytes / 12 + 1)),
                   0);
       continue;
     }
@@ -289,7 +476,7 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
       GTL_RETURN_IF_ERROR(parse_decl_count(s, &declared_pins));
       declared_pins_line = s.lineno();
       nb->reserve(0, 0, static_cast<std::size_t>(std::min<std::uint64_t>(
-                            declared_pins, buf.size() / 2 + 1)));
+                            declared_pins, file_bytes / 2 + 1)));
       continue;
     }
     if (toks[0] == "NetDegree") {
@@ -303,12 +490,12 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
       if (degree == 0) {
         return s.fail("NetDegree declares an empty net");
       }
-      net_name = toks.size() == 4 ? toks[3] : std::string_view{};
+      net_name.assign(toks.size() == 4 ? toks[3] : std::string_view{});
       net_open = true;
       net_line = s.lineno();
       // Same lying-count guard as NumNodes: a pin line is >= 2 bytes.
       pins.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(degree, buf.size() / 2 + 1)));
+          std::min<std::uint64_t>(degree, file_bytes / 2 + 1)));
       continue;
     }
     // Pin line: "<cellname> [<I|O|B> [: x y]]"
@@ -330,14 +517,15 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
       GTL_RETURN_IF_ERROR(expect_double(s, toks[3], &off));
       GTL_RETURN_IF_ERROR(expect_double(s, toks[4], &off));
     }
-    const auto it = nodes.index.find(toks[0]);
-    if (it == nodes.index.end()) {
+    const CellId cell = nodes.index.find(toks[0]);
+    if (cell == kInvalidCell) {
       return s.fail("pin references unknown node '" + std::string(toks[0]) +
                     "'");
     }
-    pins.push_back(it->second);
+    pins.push_back(cell);
     ++pins_seen;
   }
+  GTL_RETURN_IF_ERROR(s.io_status());
   GTL_RETURN_IF_ERROR(close_net());
   if (declared_nets_line != 0 && declared_nets != nets_done) {
     return parse_fail(path, declared_nets_line,
@@ -359,11 +547,11 @@ Status parse_nets(const std::filesystem::path& path, std::string_view buf,
 /// dropped the suffix, so placement-fixed cells lost their fixed status
 /// unless .nodes also said terminal).  A .nodes/.pl disagreement and rows
 /// naming unknown nodes are surfaced as warnings, not errors.
-Status parse_pl(const std::filesystem::path& path, std::string_view buf,
-                NodesData* nodes, std::vector<double>* x,
-                std::vector<double>* y,
+Status parse_pl(const std::filesystem::path& path, NodesData* nodes,
+                std::vector<double>* x, std::vector<double>* y,
                 std::vector<std::string>* warnings) {
-  Scanner s(path, buf);
+  Scanner s(path);
+  GTL_RETURN_IF_ERROR(s.open());
   x->assign(nodes->names.size(), 0.0);
   y->assign(nodes->names.size(), 0.0);
   // A .pl that belongs to a different design would otherwise emit one
@@ -384,8 +572,8 @@ Status parse_pl(const std::filesystem::path& path, std::string_view buf,
     // Unknown names first, before any strict validation: the seed parser
     // tolerated arbitrary extra rows (placer banners, rows for another
     // design), so they stay a warning, never a hard failure.
-    const auto it = nodes->index.find(toks[0]);
-    if (it == nodes->index.end()) {
+    const CellId cell = nodes->index.find(toks[0]);
+    if (cell == kInvalidCell) {
       warn(path.string() + ":" + std::to_string(s.lineno()) +
            ": row for unknown node '" + std::string(toks[0]) + "' ignored");
       continue;
@@ -412,16 +600,17 @@ Status parse_pl(const std::filesystem::path& path, std::string_view buf,
     double px = 0.0, py = 0.0;
     GTL_RETURN_IF_ERROR(expect_double(s, toks[1], &px));
     GTL_RETURN_IF_ERROR(expect_double(s, toks[2], &py));
-    (*x)[it->second] = px;
-    (*y)[it->second] = py;
-    if (fixed && nodes->fixed[it->second] == 0) {
+    (*x)[cell] = px;
+    (*y)[cell] = py;
+    if (fixed && nodes->fixed[cell] == 0) {
       warn(path.string() + ":" + std::to_string(s.lineno()) + ": node '" +
            std::string(toks[0]) +
            "' is /FIXED in .pl but not terminal in .nodes; "
            "treating it as fixed");
-      nodes->fixed[it->second] = 1;
+      nodes->fixed[cell] = 1;
     }
   }
+  GTL_RETURN_IF_ERROR(s.io_status());
   if (suppressed != 0) {
     warnings->push_back(path.string() + ": " + std::to_string(suppressed) +
                         " more warning(s) suppressed");
@@ -464,14 +653,7 @@ std::unordered_map<CellId, std::string> renamed_unnamed_cells(
 
 Status slurp(const std::filesystem::path& path, std::string* out) {
   const Status st = read_file_to_string(path, out);
-  if (!st.is_ok()) {
-    // Keep the open-vs-mid-read distinction the reader encodes.
-    if (st.code() == StatusCode::kNotFound) {
-      return Status::parse_error("bookshelf: cannot open " + path.string());
-    }
-    return Status::parse_error("bookshelf: " + st.message());
-  }
-  return Status::ok();
+  return st.is_ok() ? st : read_fail(path, st);
 }
 
 }  // namespace
@@ -493,10 +675,8 @@ Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
 
   // .pl before the builder runs so /FIXED flags merge into the cells.
   if (!pl_path.empty() && std::filesystem::exists(pl_path)) {
-    std::string pl_buf;
-    GTL_RETURN_IF_ERROR(slurp(pl_path, &pl_buf));
     GTL_RETURN_IF_ERROR(
-        parse_pl(pl_path, pl_buf, &nodes, &out->x, &out->y, &out->warnings));
+        parse_pl(pl_path, &nodes, &out->x, &out->y, &out->warnings));
   }
 
   NetlistBuilder nb;
@@ -505,20 +685,15 @@ Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
     nb.add_cell(nodes.names[i], nodes.widths[i], nodes.heights[i],
                 nodes.fixed[i] != 0);
   }
-  {
-    std::string nets_buf;
-    GTL_RETURN_IF_ERROR(slurp(nets_path, &nets_buf));
-    GTL_RETURN_IF_ERROR(parse_nets(nets_path, nets_buf, nodes, &nb));
-  }
+  GTL_RETURN_IF_ERROR(parse_nets(nets_path, nodes, &nb));
   out->netlist = nb.build();
   return Status::ok();
 }
 
 Status try_read_bookshelf(const std::filesystem::path& aux,
                           BookshelfDesign* out) {
-  std::string buf;
-  GTL_RETURN_IF_ERROR(slurp(aux, &buf));
-  Scanner s(aux, buf);
+  Scanner s(aux);
+  GTL_RETURN_IF_ERROR(s.open());
   std::filesystem::path nodes, nets, pl;
   const auto dir = aux.parent_path();
   while (s.next_line()) {
@@ -528,6 +703,7 @@ Status try_read_bookshelf(const std::filesystem::path& aux,
       if (t.size() > 3 && t.substr(t.size() - 3) == ".pl") pl = dir / t;
     }
   }
+  GTL_RETURN_IF_ERROR(s.io_status());
   if (nodes.empty() || nets.empty()) {
     return Status::parse_error("bookshelf: " + aux.string() +
                                ": aux file does not name .nodes and .nets");

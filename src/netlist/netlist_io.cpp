@@ -1,5 +1,6 @@
 #include "netlist/netlist_io.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -76,8 +77,8 @@ Status fail(const std::filesystem::path& path, const std::string& what) {
   return Status::parse_error("snapshot: " + path.string() + ": " + what);
 }
 
-/// FNV-1a 64: cheap, order-sensitive, and catches the truncation and
-/// bit-rot cases a size check alone cannot.
+/// The v1 seal, FNV-1a 64: order-sensitive, and catches the truncation
+/// and bit-rot cases a size check alone cannot, at one multiply per byte.
 struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
   void mix(const void* data, std::size_t n) {
@@ -89,8 +90,103 @@ struct Fnv1a {
   }
 };
 
-/// Buffered checksummed writer: every byte written is folded into the
-/// running FNV so the trailer can seal the whole file.
+/// The v2 seal: the bytes as little-endian 64-bit words, word i folded
+/// into lane i mod 4 by `lane = (lane ^ word) * K; lane ^= lane >> 32`,
+/// the last partial word zero-padded, then the byte count and the four
+/// lanes folded into one word.  Each step is a bijection of its lane for
+/// a fixed word, and the fold one of each lane for fixed others, so a
+/// change confined to one word always changes the seal, as a single-byte
+/// change always changes FNV-1a; four independent multiply chains run at
+/// memory speed.  mix() may split the bytes anywhere.
+class WordSeal {
+ public:
+  void mix(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    total_ += n;
+    if (pending_ != 0) {
+      const std::size_t take = std::min(n, kBlock - pending_);
+      std::memcpy(block_ + pending_, p, take);
+      pending_ += take;
+      p += take;
+      n -= take;
+      if (pending_ < kBlock) return;
+      fold_block(block_);
+      pending_ = 0;
+    }
+    for (; n >= kBlock; p += kBlock, n -= kBlock) fold_block(p);
+    std::memcpy(block_, p, n);
+    pending_ = n;
+  }
+
+  [[nodiscard]] std::uint64_t value() const {
+    std::uint64_t lanes[4] = {lanes_[0], lanes_[1], lanes_[2], lanes_[3]};
+    for (std::size_t i = 0; 8 * i < pending_; ++i) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, block_ + 8 * i,
+                  std::min<std::size_t>(8, pending_ - 8 * i));
+      fold(&lanes[i], w);
+    }
+    std::uint64_t h = total_ * kMul;
+    for (const std::uint64_t lane : lanes) {
+      h = (h ^ avalanche(lane)) * kMul;
+      h ^= h >> 29;
+    }
+    return avalanche(h);
+  }
+
+ private:
+  static constexpr std::size_t kBlock = 32;
+  static constexpr std::uint64_t kMul = 0x9E37'79B9'7F4A'7C15ull;
+
+  static void fold(std::uint64_t* lane, std::uint64_t w) {
+    *lane = (*lane ^ w) * kMul;
+    *lane ^= *lane >> 32;
+  }
+  static std::uint64_t avalanche(std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xFF51'AFD7'ED55'8CCDull;
+    x ^= x >> 33;
+    return x;
+  }
+  void fold_block(const unsigned char* p) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, p + 8 * i, 8);
+      fold(&lanes_[i], w);
+    }
+  }
+
+  std::uint64_t lanes_[4] = {
+      0x243F'6A88'85A3'08D3ull, 0x1319'8A2E'0370'7344ull,
+      0xA409'3822'299F'31D0ull, 0x082E'FA98'EC4E'6C89ull};
+  unsigned char block_[kBlock] = {};
+  std::size_t pending_ = 0;
+  std::uint64_t total_ = 0;
+};
+
+/// The seal of the file's format version (v1: FNV-1a, v2: WordSeal).
+class Seal {
+ public:
+  explicit Seal(std::uint32_t version) : v1_(version == 1) {}
+  void mix(const void* data, std::size_t n) {
+    if (v1_) {
+      fnv_.mix(data, n);
+    } else {
+      word_.mix(data, n);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    return v1_ ? fnv_.h : word_.value();
+  }
+
+ private:
+  bool v1_;
+  Fnv1a fnv_;
+  WordSeal word_;
+};
+
+/// Buffered sealing writer: every byte written is folded into the
+/// running seal so the trailer can seal the whole file.
 class SnapshotWriter {
  public:
   explicit SnapshotWriter(const std::filesystem::path& path)
@@ -99,7 +195,7 @@ class SnapshotWriter {
   [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
 
   void write(const void* data, std::size_t n) {
-    fnv_.mix(data, n);
+    seal_.mix(data, n);
     out_.write(static_cast<const char*>(data),
                static_cast<std::streamsize>(n));
   }
@@ -114,7 +210,7 @@ class SnapshotWriter {
   }
   void seal() {
     // The trailer itself is not part of its own hash.
-    const std::uint64_t h = fnv_.h;
+    const std::uint64_t h = seal_.value();
     out_.write(reinterpret_cast<const char*>(&h), sizeof(h));
     out_.flush();
   }
@@ -126,33 +222,31 @@ class SnapshotWriter {
 
  private:
   std::ofstream out_;
-  Fnv1a fnv_;
+  Seal seal_{kSnapshotVersion};
 };
 
-/// Bounds-checked cursor over the slurped snapshot bytes.
+/// Reads the sections after the header in file order, straight from the
+/// file into the arrays they fill, folding each into the seal.
 class SnapshotReader {
  public:
-  SnapshotReader(const std::filesystem::path& path, const std::string& buf)
-      : path_(path), buf_(buf) {}
-
-  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
+  SnapshotReader(const std::filesystem::path& path, FileReader* in,
+                 Seal* seal, std::size_t pos)
+      : path_(path), in_(in), seal_(seal), pos_(pos) {}
 
   Status read(void* out, std::size_t n) {
-    if (n > remaining()) {
+    if (n == 0) return Status::ok();  // empty arrays have no storage
+    std::size_t got = 0;
+    if (const Status st = in_->read_full(out, n, &got); !st.is_ok()) {
+      return Status::parse_error("snapshot: " + st.message());
+    }
+    if (got != n) {
       return fail(path_, "truncated (need " + std::to_string(n) +
                              " bytes at offset " + std::to_string(pos_) +
-                             ", have " + std::to_string(remaining()) + ")");
+                             ", have " + std::to_string(got) + ")");
     }
-    if (n != 0) {  // empty arrays have no storage to memcpy into
-      std::memcpy(out, buf_.data() + pos_, n);
-      pos_ += n;
-    }
+    seal_->mix(out, n);
+    pos_ += n;
     return Status::ok();
-  }
-  template <typename T>
-  Status read_pod(T* out) {
-    return read(out, sizeof(T));
   }
   template <typename T>
   Status read_array(std::vector<T>* out, std::size_t count) {
@@ -160,27 +254,17 @@ class SnapshotReader {
     out->resize(count);
     return read(out->data(), count * sizeof(T));
   }
-  /// Zero-copy variant: view `n` bytes in place and advance.
-  Status view(std::string_view* out, std::size_t n) {
-    if (n > remaining()) {
-      return fail(path_, "truncated (need " + std::to_string(n) +
-                             " bytes at offset " + std::to_string(pos_) +
-                             ", have " + std::to_string(remaining()) + ")");
-    }
-    *out = std::string_view(buf_).substr(pos_, n);
-    pos_ += n;
-    return Status::ok();
-  }
 
  private:
   const std::filesystem::path& path_;
-  const std::string& buf_;
-  std::size_t pos_ = 0;
+  FileReader* in_;
+  Seal* seal_;
+  std::size_t pos_;
 };
 
 /// Read `count` name lengths and the blob they cover into a packed table:
 /// the lengths land in offsets[1..count] and become offsets in place, and
-/// the blob is copied once.  Zero names leave the table empty (unnamed),
+/// the blob is read into place.  Zero names leave the table empty (unnamed),
 /// as a netlist with no cells or nets has no names to carry.
 Status read_names(SnapshotReader& r, const std::filesystem::path& path,
                   const char* kind, std::size_t count,
@@ -203,14 +287,12 @@ Status read_names(SnapshotReader& r, const std::filesystem::path& path,
                           std::to_string(total) + " but the header declares " +
                           std::to_string(blob_bytes) + " blob bytes");
   }
-  std::string_view blob;
-  GTL_RETURN_IF_ERROR(r.view(&blob, static_cast<std::size_t>(blob_bytes)));
   if (count == 0) {
-    *out = {};
-  } else {
-    out->blob.assign(blob);
+    *out = {};  // and the blob is empty: its size is the lengths' sum
+    return Status::ok();
   }
-  return Status::ok();
+  out->blob.resize(static_cast<std::size_t>(blob_bytes));
+  return r.read(out->blob.data(), out->blob.size());
 }
 
 /// The lengths (offset differences), then the blob in one write.
@@ -347,30 +429,42 @@ Status try_write_snapshot(const BookshelfDesign& design,
 
 Status try_read_snapshot(const std::filesystem::path& path,
                          BookshelfDesign* out) {
-  std::string buf;
-  if (const Status st = read_file_to_string(path, &buf); !st.is_ok()) {
-    // Keep the open-vs-mid-read distinction the reader encodes.
-    if (st.code() == StatusCode::kNotFound) {
-      return Status::not_found("snapshot: cannot open " + path.string());
-    }
+  FileReader in;
+  if (const Status st = in.open(path); !st.is_ok()) {
+    return Status::not_found("snapshot: cannot open " + path.string());
+  }
+  const std::uint64_t file_size = in.size();
+  if (file_size < kHeaderBytes + sizeof(std::uint64_t)) {
+    return fail(path, "file too small to be a snapshot (" +
+                          std::to_string(file_size) + " bytes)");
+  }
+  // The header is read whole first: its version picks the seal that
+  // covers it and everything after it.
+  unsigned char header[kHeaderBytes];
+  std::size_t got = 0;
+  if (const Status st = in.read_full(header, sizeof(header), &got);
+      !st.is_ok()) {
     return Status::parse_error("snapshot: " + st.message());
   }
-  if (buf.size() < kHeaderBytes + sizeof(std::uint64_t)) {
-    return fail(path, "file too small to be a snapshot (" +
-                          std::to_string(buf.size()) + " bytes)");
+  if (got != sizeof(header)) {
+    return fail(path, "truncated (need " + std::to_string(kHeaderBytes) +
+                          " header bytes, have " + std::to_string(got) + ")");
   }
-  SnapshotReader r(path, buf);
-
+  std::size_t at = 0;
+  auto take = [&](void* out, std::size_t n) {
+    std::memcpy(out, header + at, n);
+    at += n;
+  };
   char magic[8];
-  GTL_RETURN_IF_ERROR(r.read(magic, sizeof(magic)));
+  take(magic, sizeof(magic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return fail(path, "bad magic (not a GTL netlist snapshot)");
   }
   std::uint32_t byte_order = 0, version = 0, flags = 0, reserved = 0;
-  GTL_RETURN_IF_ERROR(r.read_pod(&byte_order));
-  GTL_RETURN_IF_ERROR(r.read_pod(&version));
-  GTL_RETURN_IF_ERROR(r.read_pod(&flags));
-  GTL_RETURN_IF_ERROR(r.read_pod(&reserved));
+  take(&byte_order, 4);
+  take(&version, 4);
+  take(&flags, 4);
+  take(&reserved, 4);
   if (byte_order != kByteOrder) {
     return fail(path, "byte-order marker mismatch (snapshot written on a "
                       "different-endian machine)");
@@ -386,11 +480,11 @@ Status try_read_snapshot(const std::filesystem::path& path,
   }
   std::uint64_t num_cells = 0, num_nets = 0, num_pins = 0;
   std::uint64_t cell_name_bytes = 0, net_name_bytes = 0;
-  GTL_RETURN_IF_ERROR(r.read_pod(&num_cells));
-  GTL_RETURN_IF_ERROR(r.read_pod(&num_nets));
-  GTL_RETURN_IF_ERROR(r.read_pod(&num_pins));
-  GTL_RETURN_IF_ERROR(r.read_pod(&cell_name_bytes));
-  GTL_RETURN_IF_ERROR(r.read_pod(&net_name_bytes));
+  take(&num_cells, 8);
+  take(&num_nets, 8);
+  take(&num_pins, 8);
+  take(&cell_name_bytes, 8);
+  take(&net_name_bytes, 8);
 
   // Reject id overflow before any size arithmetic: with every count
   // bounded by 2^32 the per-array byte totals below stay far from u64
@@ -412,7 +506,7 @@ Status try_read_snapshot(const std::filesystem::path& path,
     return fail(path, "declared name blob exceeds the 32-bit name-offset "
                       "limit");
   }
-  if (cell_name_bytes > buf.size() || net_name_bytes > buf.size()) {
+  if (cell_name_bytes > file_size || net_name_bytes > file_size) {
     return fail(path, "declared name blob exceeds the file size");
   }
 
@@ -428,13 +522,16 @@ Status try_read_snapshot(const std::filesystem::path& path,
   if ((flags & kFlagNetNames) != 0) expected += num_nets * 4 + net_name_bytes;
   if ((flags & kFlagPlacement) != 0) expected += num_cells * 8 * 2;
   expected += 8;  // checksum trailer
-  if (expected != buf.size()) {
-    return fail(path, "file size " + std::to_string(buf.size()) +
+  if (expected != file_size) {
+    return fail(path, "file size " + std::to_string(file_size) +
                           " does not match the " + std::to_string(expected) +
                           " bytes implied by the header (truncated or "
                           "corrupted snapshot)");
   }
 
+  Seal seal(version);
+  seal.mix(header, sizeof(header));
+  SnapshotReader r(path, &in, &seal, kHeaderBytes);
   std::vector<std::uint32_t> offsets;
   std::vector<CellId> pins;
   std::vector<double> widths, heights, x, y;
@@ -466,11 +563,11 @@ Status try_read_snapshot(const std::filesystem::path& path,
   }
 
   // Seal check: everything before the trailer must hash to the trailer.
-  Fnv1a fnv;
-  fnv.mix(buf.data(), r.pos());
+  // (Reading the trailer folds it in too, after the value is taken.)
+  const std::uint64_t sealed = seal.value();
   std::uint64_t stored = 0;
-  GTL_RETURN_IF_ERROR(r.read_pod(&stored));
-  if (fnv.h != stored) {
+  GTL_RETURN_IF_ERROR(r.read(&stored, sizeof(stored)));
+  if (sealed != stored) {
     return fail(path, "checksum mismatch (corrupted snapshot)");
   }
 

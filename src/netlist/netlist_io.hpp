@@ -5,14 +5,14 @@
 // already-validated Netlist, so reloading is a handful of bulk array
 // reads plus the derived-structure rebuild (transposed CSR, net sizes,
 // movable count).  Names load as the Netlist stores them: each name blob
-// is copied once and its lengths become 32-bit offsets in place, with no
-// per-name object and no name index.
+// is read into place and its lengths become 32-bit offsets in place, with
+// no per-name object and no name index.
 //
-// Format v1, little-endian, in file order:
+// Format v2, little-endian, in file order:
 //
 //   magic            8 bytes  "GTLSNAP\0"
 //   byte_order       u32      0x01020304 (refuses foreign-endian files)
-//   version          u32      1
+//   version          u32      2 (1: the same layout with an FNV-1a seal)
 //   flags            u32      bit0 cell names, bit1 net names,
 //                             bit2 placement; unknown bits are an error
 //   reserved         u32      0
@@ -29,7 +29,21 @@
 //   [cell name lengths num_cells x u32][cell name blob]   if flag bit0
 //   [net  name lengths num_nets  x u32][net  name blob]   if flag bit1
 //   [x num_cells x f64][y num_cells x f64]                if flag bit2
-//   checksum         u64      FNV-1a over every preceding byte
+//   seal             u64      over every preceding byte: v2 folds the
+//                             bytes as little-endian 64-bit words, word i
+//                             into lane i mod 4 of a multiply–xorshift
+//                             hash (last word zero-padded), then the byte
+//                             count and the lanes into one word; v1 is
+//                             FNV-1a 64
+//
+// The writer emits v2; the reader accepts v1 and v2, so v1 caches keep
+// loading, and a reader that knows only v1 refuses a v2 file with
+// "unsupported snapshot version 2".  Both seals catch any change confined
+// to one byte (v2: to one word); v2 runs at memory speed, where FNV-1a
+// costs a multiply per byte (~3.3 ms of a 5.9 ms load of the 2.2 MB
+// paper design).  The reader streams: it checks the header against the
+// file's size, then reads each section straight into the array it fills
+// while folding the seal, so a load holds no copy of the file.
 //
 // Every count is validated against the 32-bit id limits, each name blob
 // against the 32-bit name-offset limit, every offset against
@@ -50,7 +64,7 @@
 
 namespace gtl {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Write `design` (netlist + optional placement) as a binary snapshot.
 [[nodiscard]] Status try_write_snapshot(const BookshelfDesign& design,

@@ -32,6 +32,7 @@ Server::Server(ServerConfig cfg)
 Server::~Server() { stop(); }
 
 Status Server::preload(const std::string& name, BookshelfDesign design) {
+  release_to_preload(name);
   DesignRegistry::LoadInfo info;
   GTL_RETURN_IF_ERROR(registry_.insert(name, std::move(design), &info));
   (void)manifest_apply("", nullptr, info.evicted);
@@ -44,11 +45,23 @@ Status Server::preload(const std::string& name,
                        const std::filesystem::path& aux,
                        const std::filesystem::path& snapshot,
                        DesignRegistry::LoadInfo* info) {
+  release_to_preload(name);
   GTL_RETURN_IF_ERROR(registry_.load(name, aux, snapshot, info));
   (void)manifest_apply("", nullptr, info->evicted);
   MutexLock lk(metrics_mu_);
   count_load(*info);
   return Status::ok();
+}
+
+void Server::release_to_preload(const std::string& name) {
+  bool recorded = false;
+  {
+    MutexLock lk(manifest_mu_);
+    recorded = manifest_.count(name) != 0;
+  }
+  if (!recorded) return;
+  (void)manifest_apply("", nullptr, {name});
+  registry_.erase(name);
 }
 
 void Server::count_load(const DesignRegistry::LoadInfo& info) {

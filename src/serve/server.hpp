@@ -112,7 +112,9 @@ class Server {
   /// Register an already-built design (preload / demo / tests), bypassing
   /// the wire protocol.  Same registry semantics as load_design, but the
   /// design records no sources (so it is neither manifested nor
-  /// idempotently reloadable).
+  /// idempotently reloadable).  A design recover_from_manifest() brought
+  /// back under `name` is replaced and leaves the manifest (both
+  /// overloads).
   [[nodiscard]] Status preload(const std::string& name, BookshelfDesign design)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
 
@@ -239,6 +241,13 @@ class Server {
   [[nodiscard]] Status manifest_apply(const std::string& record_name,
                                       const ManifestEntry* record,
                                       const std::vector<std::string>& forget)
+      GTL_EXCLUDES(manifest_mu_, metrics_mu_);
+  /// Hand a name the manifest recovered back to a preload: a client that
+  /// unloaded a preloaded design and loaded it again over the wire left
+  /// it in the manifest, so a restart recovers it before the preload
+  /// runs.  The entry leaves the manifest and the recovered copy the
+  /// registry, and the preload then loads it as at any start.
+  void release_to_preload(const std::string& name)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
   void finish_inflight(std::uint64_t id) GTL_EXCLUDES(inflight_mu_);
 

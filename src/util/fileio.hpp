@@ -1,80 +1,60 @@
 #pragma once
-// Whole-file reads for the I/O layer.  Loaders (Bookshelf text, binary
-// netlist snapshots) slurp each file in one buffered gulp and scan the
-// bytes in place, so parse cost tracks memory bandwidth instead of
-// per-line stream churn.
+// File reads for the I/O layer.  The streaming loaders (the Bookshelf
+// scanner, the snapshot reader) pull a file front to back through a
+// FileReader into their own chunk buffer or straight into the arrays they
+// build, so a load holds no whole-file copy beside its result;
+// read_file_to_string slurps a file whose bytes must outlive the read
+// (manifests, failpoint schedules, and Bookshelf .nodes, whose names the
+// node-name index views) in one gulp.
 
-#include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <string>
-#include <thread>
 
-#include "util/failpoint.hpp"
 #include "util/status.hpp"
 
 namespace gtl {
 
+/// A file opened for one front-to-back pass.
+///
+/// Failpoints, evaluated once per open: "fileio.read.open" (fail =
+/// injected open failure) and "fileio.read" (fail = the first read fails
+/// midway; short_io = the file ends after `param` bytes, a torn read that
+/// size() also reports; delay = sleep `param` ms before the first byte).
+class FileReader {
+ public:
+  FileReader() = default;
+  ~FileReader();
+  FileReader(const FileReader&) = delete;
+  FileReader& operator=(const FileReader&) = delete;
+
+  /// kNotFound when the file cannot be opened.
+  [[nodiscard]] Status open(const std::filesystem::path& path);
+
+  /// The file's size when it was opened (0 for size-less special files).
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+
+  /// Read up to `n` bytes into `dst`; `*got` is 0 only at end of file.
+  /// kParseError when a read fails.
+  [[nodiscard]] Status read_some(void* dst, std::size_t n, std::size_t* got);
+
+  /// Fill all `n` bytes of `dst`; `*got` < n only at end of file.
+  [[nodiscard]] Status read_full(void* dst, std::size_t n, std::size_t* got);
+
+ private:
+  int fd_ = -1;
+  std::filesystem::path path_;
+  std::uint64_t size_ = 0;
+  /// Bytes the reader may still hand out (a torn-read failpoint caps it).
+  std::uint64_t budget_ = UINT64_MAX;
+  bool fail_next_ = false;
+};
+
 /// Read the entire file at `path` into `*out` (replacing its contents).
 /// Binary-exact: no newline translation.  Returns kNotFound when the
-/// file cannot be opened, kParseError when a read fails midway.
-///
-/// Failpoints: "fileio.read.open" (fail = injected open failure) and
-/// "fileio.read" (fail = injected mid-read failure; short_io = truncate
-/// the result to `param` bytes, simulating a torn read; delay honored).
-[[nodiscard]] inline Status read_file_to_string(
-    const std::filesystem::path& path, std::string* out) {
-  if (failpoint::Action fp;
-      failpoint::check("fileio.read.open", &fp) &&
-      fp.kind == failpoint::Action::Kind::kFail) {
-    return Status::not_found("cannot open " + path.string() +
-                             " (injected failpoint)");
-  }
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) {
-    return Status::not_found("cannot open " + path.string());
-  }
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  out->clear();
-  if (!ec && size > 0) {
-    out->resize(static_cast<std::size_t>(size));
-    const std::size_t got = std::fread(out->data(), 1, out->size(), f);
-    out->resize(got);
-    // Regular files deliver their full size in one fread; anything
-    // shorter would fall through to the tail loop below.
-  }
-  // Tail loop: handles size-less special files and races with writers.
-  char buf[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
-    if (got == 0) break;
-    out->append(buf, got);
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) {
-    return Status::parse_error("read failed for " + path.string());
-  }
-  if (failpoint::Action fp; failpoint::check("fileio.read", &fp)) {
-    switch (fp.kind) {
-      case failpoint::Action::Kind::kFail:
-        return Status::parse_error("read failed for " + path.string() +
-                                   " (injected failpoint)");
-      case failpoint::Action::Kind::kShortIo:
-        // Torn read: the caller sees a clean-looking prefix of the file.
-        if (out->size() > fp.param) {
-          out->resize(static_cast<std::size_t>(fp.param));
-        }
-        break;
-      case failpoint::Action::Kind::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fp.param));
-        break;
-      case failpoint::Action::Kind::kEintr:
-        break;  // no interruptible loop here
-    }
-  }
-  return Status::ok();
-}
+/// file cannot be opened, kParseError when a read fails midway; the
+/// FileReader failpoints apply.
+[[nodiscard]] Status read_file_to_string(const std::filesystem::path& path,
+                                         std::string* out);
 
 }  // namespace gtl

@@ -14,6 +14,7 @@
 
 #include "graphgen/synthetic_circuit.hpp"
 #include "netlist/netlist_io.hpp"
+#include "netlist/snapshot_seal.hpp"
 
 namespace gtl {
 namespace {
@@ -145,11 +146,43 @@ TEST_F(NetlistIoTest, RoundTripTinyHandBuiltNetlist) {
 }
 
 TEST_F(NetlistIoTest, SnapshotBytesMatchRecordedDigest) {
-  // A fixed design that fills every section of format v1: cell names
+  // A fixed design that fills every section of the format: cell names
   // (one of them empty), net names (one empty), a fixed cell and a
-  // placement.  The digest was recorded when each name was still its own
-  // std::string, so it pins that the packed names write the same bytes;
-  // any drift in the file layout changes it.
+  // placement.  kV1 is the file format v1 wrote for it (303 bytes,
+  // FNV-1a 0xbb95b271a04db38e, recorded when each name was still its own
+  // std::string): v1 caches must keep loading to the same design, and v2
+  // must write the same bytes apart from the version word and the seal.
+  static constexpr unsigned char kV1[] = {
+      0x47, 0x54, 0x4c, 0x53, 0x4e, 0x41, 0x50, 0x00, 0x04, 0x03, 0x02, 0x01,
+      0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x0c, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x01, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x69, 0x6e, 0x30, 0x75, 0x5f, 0x61, 0x6c, 0x75,
+      0x2f, 0x61, 0x64, 0x64, 0x5f, 0x37, 0x7a, 0x05, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x6e, 0x5f, 0x62, 0x75, 0x73,
+      0x63, 0x6c, 0x6b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x0a, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x40, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x40, 0x51, 0x39, 0x3c, 0x1a, 0x6e,
+      0x06, 0x51, 0x4e};
+  const std::string v1(reinterpret_cast<const char*>(kV1), sizeof(kV1));
+  ASSERT_EQ(v1.size(), 303u);
+  ASSERT_EQ(gtl::testing::fnv1a_seal(v1), 0xbb95b271a04db38eull);
+
   BookshelfDesign d;
   NetlistBuilder nb;
   nb.add_cell("in0", 2.0, 1.0, /*fixed=*/true);
@@ -162,15 +195,22 @@ TEST_F(NetlistIoTest, SnapshotBytesMatchRecordedDigest) {
   d.netlist = nb.build();
   d.x = {0.0, 10.5, -3.25, 7.0};
   d.y = {1.0, 2.0, 3.0, 4.5};
+
+  spit(dir_ / "v1.snap", v1);
+  expect_identical(d, read_snapshot(dir_ / "v1.snap"));
+
   write_snapshot(d, dir_ / "golden.snap");
-  const std::string bytes = slurp(dir_ / "golden.snap");
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 over the file
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
+  const std::string v2 = slurp(dir_ / "golden.snap");
+  ASSERT_EQ(v2.size(), v1.size());
+  for (std::size_t i = 0; i < v2.size(); ++i) {
+    if (i == 12) {
+      EXPECT_EQ(v2[i], 2) << "the version word";
+    } else if (i < v2.size() - 8) {
+      EXPECT_EQ(v2[i], v1[i]) << "v2 changed byte " << i;
+    }
   }
-  EXPECT_EQ(bytes.size(), 303u);
-  EXPECT_EQ(h, 0xbb95b271a04db38eull);
+  EXPECT_EQ(gtl::testing::reseal(v2), v2) << "v2 is sealed with its seal";
+  EXPECT_EQ(gtl::testing::fnv1a_seal(v2), 0xd5f08ace5ee4bb1aull);
   expect_identical(d, read_snapshot(dir_ / "golden.snap"));
 }
 
@@ -270,28 +310,20 @@ TEST_F(NetlistIoTest, DeclaredNameBlobBeyondFileRejected) {
 
 TEST_F(NetlistIoTest, InconsistentOffsetsRejected) {
   // Corrupt net_pin_offset[1] (first offset after the leading 0) to be
-  // non-monotonic, and refresh nothing else: the size still matches, the
-  // checksum catches it first — so instead rebuild a structurally-bad but
-  // checksum-valid file by writing through the public writer is
-  // impossible; hand-roll the fix-up: recompute the trailer.
+  // non-monotonic and re-seal the file, so the CSR validator, not the
+  // checksum, must catch it.
   const fs::path p = dir_ / "csr.snap";
   write_snapshot(make_design(false, false), p);
   std::string bytes = slurp(p);
   // offsets start right after the 64-byte header; offset[1] at +4.
   std::uint32_t evil = 0xffff0000u;
   std::memcpy(bytes.data() + 64 + 4, &evil, sizeof(evil));
-  // Recompute FNV-1a over everything but the 8-byte trailer.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  std::memcpy(bytes.data() + bytes.size() - 8, &h, sizeof(h));
-  spit(p, bytes);
+  spit(p, gtl::testing::reseal(bytes));
   BookshelfDesign out;
   const Status st = try_read_snapshot(p, &out);
   ASSERT_FALSE(st.is_ok());
-  EXPECT_NE(st.message().find("net_pin_offset"), std::string::npos)
+  EXPECT_NE(st.message().find("net_pin_offset not monotonic at net 1"),
+            std::string::npos)
       << st.message();
 }
 

@@ -8,9 +8,10 @@
 //   * truncation at every section boundary and every header byte;
 //   * single-byte corruption at every offset in the file;
 //   * structurally-targeted patches (oversized counts, non-monotonic
-//     CSR, duplicate pins) re-sealed with a fresh checksum, so the
-//     corruption reaches the structural validators instead of being
-//     stopped at the cheap checksum gate.
+//     CSR, duplicate pins) re-sealed with the seal of the file's version,
+//     so the corruption reaches the validator it targets instead of being
+//     stopped at the cheap checksum gate; each asserts that validator's
+//     message.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graphgen/synthetic_circuit.hpp"
 #include "netlist/netlist_io.hpp"
+#include "netlist/snapshot_seal.hpp"
 
 namespace gtl {
 namespace {
@@ -94,16 +97,20 @@ class SnapshotCorruptionTest : public ::testing::Test {
     }
   }
 
-  /// Recompute the trailing FNV-1a so a structural patch survives the
-  /// checksum gate and reaches the validators it targets.
-  static std::string reseal(std::string bytes) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
-      h ^= static_cast<unsigned char>(bytes[i]);
-      h *= 1099511628211ull;
-    }
-    std::memcpy(bytes.data() + bytes.size() - 8, &h, 8);
-    return bytes;
+  /// Re-seal a patched file and load it: it must be rejected by the
+  /// validator whose message contains `needle`, never at the checksum.
+  void expect_resealed_rejected(const std::string& patched,
+                                const std::string& needle,
+                                const std::string& what) {
+    const fs::path path = dir_ / "resealed.snap";
+    spit(path, gtl::testing::reseal(patched));
+    BookshelfDesign loaded;
+    const Status st = try_read_snapshot(path, &loaded);
+    ASSERT_FALSE(st.is_ok()) << what;
+    EXPECT_EQ(st.message().find("checksum mismatch"), std::string::npos)
+        << what << ": stopped at the seal: " << st.message();
+    EXPECT_NE(st.message().find(needle), std::string::npos)
+        << what << ": '" << st.message() << "' lacks '" << needle << "'";
   }
 
   static std::string patch_u64(std::string bytes, std::size_t offset,
@@ -192,36 +199,38 @@ TEST_F(SnapshotCorruptionTest, SingleByteCorruptionAtEveryOffset) {
   }
 }
 
+TEST_F(SnapshotCorruptionTest, PristineIsSealedWithItsVersionsSeal) {
+  // The helper's seal must be the writer's, or every re-sealed case below
+  // would stop at the checksum.
+  EXPECT_EQ(gtl::testing::reseal(pristine_), pristine_);
+}
+
 TEST_F(SnapshotCorruptionTest, OversizedCountsRejectedBeforeAllocation) {
   // Hostile counts must die at validation, not in a giant allocation.
   const std::uint64_t kHuge = std::uint64_t{1} << 32;
-  for (const std::size_t off :
-       {kNumCellsOffset, kNumNetsOffset, kNumPinsOffset}) {
-    BookshelfDesign loaded;
-    const fs::path path = dir_ / "huge.snap";
-    spit(path, reseal(patch_u64(pristine_, off, kHuge)));
-    const Status st = try_read_snapshot(path, &loaded);
-    EXPECT_FALSE(st.is_ok()) << "u64 at offset " << off;
+  const std::pair<std::size_t, const char*> kLimits[] = {
+      {kNumCellsOffset, "exceeds the 32-bit cell-id limit"},
+      {kNumNetsOffset, "exceeds the 32-bit net-id limit"},
+      {kNumPinsOffset, "exceeds the 32-bit CSR offset limit"}};
+  for (const auto& [off, needle] : kLimits) {
+    expect_resealed_rejected(patch_u64(pristine_, off, kHuge), needle,
+                             "u64 at offset " + std::to_string(off));
   }
   // A plausible-but-wrong count trips the exact-file-size cross-check.
   for (const std::size_t off :
        {kNumCellsOffset, kNumNetsOffset, kNumPinsOffset}) {
     std::uint64_t count = 0;
     std::memcpy(&count, pristine_.data() + off, 8);
-    BookshelfDesign loaded;
-    const fs::path path = dir_ / "offbyone.snap";
-    spit(path, reseal(patch_u64(pristine_, off, count + 1)));
-    EXPECT_FALSE(try_read_snapshot(path, &loaded).is_ok())
-        << "count+1 at offset " << off;
+    expect_resealed_rejected(patch_u64(pristine_, off, count + 1),
+                             "bytes implied by the header",
+                             "count+1 at offset " + std::to_string(off));
   }
 }
 
 TEST_F(SnapshotCorruptionTest, OversizedNameBlobRejected) {
-  BookshelfDesign loaded;
-  const fs::path path = dir_ / "blob.snap";
-  spit(path, reseal(patch_u64(pristine_, kCellNameBytesOffset,
-                              pristine_.size() * 2)));
-  EXPECT_FALSE(try_read_snapshot(path, &loaded).is_ok());
+  expect_resealed_rejected(
+      patch_u64(pristine_, kCellNameBytesOffset, pristine_.size() * 2),
+      "declared name blob exceeds the file size", "cell name blob");
 }
 
 TEST_F(SnapshotCorruptionTest, ResealedStructuralDamageStillRejected) {
@@ -231,18 +240,14 @@ TEST_F(SnapshotCorruptionTest, ResealedStructuralDamageStillRejected) {
   // Non-monotonic net_pin_offset: offset[1] beyond offset[2].
   std::uint32_t second = 0;
   std::memcpy(&second, pristine_.data() + offsets_base + 8, 4);
-  {
-    BookshelfDesign loaded;
-    const fs::path path = dir_ / "csr.snap";
-    spit(path, reseal(patch_u32(pristine_, offsets_base + 4, second + 1)));
-    EXPECT_FALSE(try_read_snapshot(path, &loaded).is_ok())
-        << "non-monotonic CSR must be rejected";
-  }
+  expect_resealed_rejected(
+      patch_u32(pristine_, offsets_base + 4, second + 1),
+      "net_pin_offset not monotonic at net 1", "non-monotonic CSR");
   // A duplicated pin inside a multi-pin net breaks the
   // strictly-increasing-per-net invariant.
+  const std::size_t nets = design_.netlist.num_nets();
+  const std::size_t pins_base = offsets_base + (nets + 1) * 4;
   {
-    const std::size_t nets = design_.netlist.num_nets();
-    const std::size_t pins_base = offsets_base + (nets + 1) * 4;
     // Find a net with >= 2 pins from the on-disk CSR itself.
     std::size_t dup_at = 0;
     for (std::size_t n = 0; n < nets && dup_at == 0; ++n) {
@@ -254,25 +259,15 @@ TEST_F(SnapshotCorruptionTest, ResealedStructuralDamageStillRejected) {
     ASSERT_NE(dup_at, 0u) << "fixture must contain a multi-pin net";
     std::uint32_t first_pin = 0;
     std::memcpy(&first_pin, pristine_.data() + dup_at, 4);
-    BookshelfDesign loaded;
-    const fs::path path = dir_ / "dup.snap";
-    spit(path, reseal(patch_u32(pristine_, dup_at + 4, first_pin)));
-    EXPECT_FALSE(try_read_snapshot(path, &loaded).is_ok())
-        << "duplicate pin in a net must be rejected";
+    expect_resealed_rejected(patch_u32(pristine_, dup_at + 4, first_pin),
+                             "pins are not strictly increasing",
+                             "duplicate pin in a net");
   }
   // A pin referencing a cell id past num_cells.
-  {
-    const std::size_t nets = design_.netlist.num_nets();
-    const std::size_t pins_base = offsets_base + (nets + 1) * 4;
-    BookshelfDesign loaded;
-    const fs::path path = dir_ / "wild.snap";
-    spit(path, reseal(patch_u32(
-                   pristine_, pins_base,
-                   static_cast<std::uint32_t>(
-                       design_.netlist.num_cells() + 1000))));
-    EXPECT_FALSE(try_read_snapshot(path, &loaded).is_ok())
-        << "pin past num_cells must be rejected";
-  }
+  expect_resealed_rejected(
+      patch_u32(pristine_, pins_base,
+                static_cast<std::uint32_t>(design_.netlist.num_cells() + 1000)),
+      "references cell id", "pin past num_cells");
 }
 
 TEST_F(SnapshotCorruptionTest, EmptyAndTinyFilesRejected) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "finder/finder_json.hpp"
 #include "graphgen/planted_graph.hpp"
 #include "netlist/bookshelf.hpp"
+#include "netlist/netlist_io.hpp"
 #include "serve/client.hpp"
 #include "serve/manifest.hpp"
 #include "serve/server.hpp"
@@ -359,6 +361,101 @@ TEST_F(ChaosTest, SnapshotFillFaultLeavesNoPartialCache) {
               std::string::npos)
         << "leftover: " << entry.path();
   }
+}
+
+// The streamed readers under read faults: an injected open failure, a
+// failed read, and torn reads that cut each file of a Bookshelf design
+// (.aux, .nodes, .nets) or its snapshot at sizes around the header and
+// the .nets chunk each give a clean Status or, when the cut leaves the
+// file whole, the design itself; the files load again once the schedule
+// is spent.
+TEST_F(ChaosTest, StreamedReadersReturnCleanStatusUnderReadFaults) {
+  PlantedGraphConfig pcfg;
+  pcfg.num_cells = 6000;  // a .nets file of several 64 KiB chunks
+  pcfg.gtls.push_back({300, 1});
+  Rng rng(41);
+  BookshelfDesign design;
+  design.netlist = generate_planted_graph(pcfg, rng).netlist;
+  write_bookshelf(design, dir_, "big");
+  const fs::path aux = dir_ / "big.aux";
+  const fs::path snap = dir_ / "big.snap";
+  ASSERT_TRUE(try_write_snapshot(design, snap).is_ok());
+  ASSERT_GT(fs::file_size(dir_ / "big.nets"), std::uintmax_t{3} << 16);
+  auto same = [&](const BookshelfDesign& got) {
+    const Netlist& a = design.netlist;
+    const Netlist& b = got.netlist;
+    if (a.num_cells() != b.num_cells() || a.num_nets() != b.num_nets() ||
+        a.num_pins() != b.num_pins()) {
+      return false;
+    }
+    for (NetId e = 0; e < a.num_nets(); ++e) {
+      const auto pa = a.pins_of(e);
+      const auto pb = b.pins_of(e);
+      if (!std::equal(pa.begin(), pa.end(), pb.begin(), pb.end())) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  failpoint::Spec once;
+  once.limit = 1;
+  failpoint::arm("fileio.read.open", once);
+  BookshelfDesign got;
+  Status st = try_read_bookshelf(aux, &got);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
+  EXPECT_NE(st.message().find("cannot open"), std::string::npos);
+  failpoint::arm("fileio.read.open", once);
+  st = try_read_snapshot(snap, &got);
+  EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.to_string();
+
+  failpoint::arm("fileio.read", once);
+  st = try_read_snapshot(snap, &got);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
+  EXPECT_NE(st.message().find("read failed"), std::string::npos);
+  for (std::uint64_t skip = 0; skip < 3; ++skip) {  // .aux, .nodes, .nets
+    failpoint::Spec fail = once;
+    fail.skip = skip;
+    failpoint::arm("fileio.read", fail);
+    st = try_read_bookshelf(aux, &got);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
+    EXPECT_EQ(failpoint::trigger_count("fileio.read"), 1u);
+  }
+
+  const fs::path files[] = {aux, dir_ / "big.nodes", dir_ / "big.nets"};
+  for (const std::uint64_t cut :
+       {0, 1, 17, 63, 64, 65, 4096, 65535, 65536, 65537, 140000}) {
+    for (std::uint64_t skip = 0; skip < 3; ++skip) {
+      failpoint::Spec torn = once;
+      torn.skip = skip;
+      torn.action.kind = failpoint::Action::Kind::kShortIo;
+      torn.action.param = cut;
+      failpoint::arm("fileio.read", torn);
+      st = try_read_bookshelf(aux, &got);
+      ASSERT_EQ(failpoint::trigger_count("fileio.read"), 1u);
+      const std::string what = files[skip].filename().string() + " cut at " +
+                               std::to_string(cut);
+      if (cut >= fs::file_size(files[skip])) {
+        ASSERT_TRUE(st.is_ok()) << what << ": " << st.to_string();
+        EXPECT_TRUE(same(got)) << what;
+      } else if (!st.is_ok()) {
+        EXPECT_EQ(st.code(), StatusCode::kParseError) << what;
+      }
+    }
+    failpoint::Spec torn = once;
+    torn.action.kind = failpoint::Action::Kind::kShortIo;
+    torn.action.param = cut;
+    failpoint::arm("fileio.read", torn);
+    st = try_read_snapshot(snap, &got);
+    EXPECT_EQ(st.code(), StatusCode::kParseError)
+        << "snapshot cut at " << cut << ": " << st.to_string();
+  }
+
+  failpoint::disarm_all();
+  ASSERT_TRUE(try_read_bookshelf(aux, &got).is_ok());
+  EXPECT_TRUE(same(got));
+  ASSERT_TRUE(try_read_snapshot(snap, &got).is_ok());
+  EXPECT_TRUE(same(got));
 }
 
 // A manifest write failure degrades durability, never availability: the

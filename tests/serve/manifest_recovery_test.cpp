@@ -306,5 +306,42 @@ TEST_F(ManifestRecoveryTest, PreloadedDesignsAreNotManifested) {
   }
 }
 
+TEST_F(ManifestRecoveryTest, RestartWithPreloadOfAManifestedDesignServesIt) {
+  // gtl_serve --manifest=m --preload-name=d1 --preload-aux=d1.aux: a
+  // client unloads the preload and loads d1 again over the wire, so the
+  // manifest now records it.
+  {
+    Server server(server_config());
+    DesignRegistry::LoadInfo info;
+    ASSERT_TRUE(server.preload("d1", aux_path_, {}, &info).is_ok());
+    const std::string unload_reply = server.handle_line(
+        R"({"id": 1, "op": "unload_design", "design": "d1"})");
+    ASSERT_EQ(parse(unload_reply).find("error"), nullptr) << unload_reply;
+    const std::string load_reply =
+        server.handle_line(load_line(2, "d1", aux_path_));
+    ASSERT_EQ(parse(load_reply).find("error"), nullptr) << load_reply;
+    Manifest manifest;
+    ASSERT_TRUE(read_manifest(manifest_path_, &manifest).is_ok());
+    ASSERT_EQ(manifest.count("d1"), 1u);
+  }
+
+  // The restart with the same flags: recovery first, then the preload.
+  Server revived(server_config());
+  Server::RecoveryReport report;
+  ASSERT_TRUE(revived.recover_from_manifest(&report).is_ok());
+  EXPECT_EQ(report.recovered, 1u);
+  DesignRegistry::LoadInfo info;
+  const Status st = revived.preload("d1", aux_path_, {}, &info);
+  ASSERT_TRUE(st.is_ok()) << st.to_string();
+  ASSERT_TRUE(has_design(revived, "d1"));
+  const JsonValue run = parse(revived.handle_line(run_line(3, "d1")));
+  EXPECT_EQ(run.find("error"), nullptr) << run.dump();
+
+  // The preload owns d1 again: its flags, not the manifest, restore it.
+  Manifest manifest;
+  ASSERT_TRUE(read_manifest(manifest_path_, &manifest).is_ok());
+  EXPECT_EQ(manifest.count("d1"), 0u);
+}
+
 }  // namespace
 }  // namespace gtl::serve
