@@ -23,22 +23,22 @@ namespace {
 // Tokens are string_views into the scanned bytes, numbers go through
 // std::from_chars, and the per-line token vector is reused, so
 // steady-state parsing allocates only for the name bytes the Netlist
-// itself packs and owns.  .nodes is scanned as one whole-file buffer,
-// because its names back the node-name index and the builder's copies
-// until .nets is done; every other file streams through one
-// kChunkBytes buffer (grown only for a longer line), so no copy of the
-// largest file, .nets, sits beside the netlist it builds.
+// itself packs and owns.  Every file streams through one kChunkBytes
+// buffer (grown only for a longer line), so no copy of a whole file sits
+// beside the netlist it builds, and .nodes adds each name straight to
+// the NetlistBuilder, whose packed table is the only copy of the names.
 // The line-of-tokens shape deliberately mirrors the seed parser's
 // getline+istringstream structure so its accepted dialect is preserved
-// exactly (pinned by tests/netlist/bookshelf_equivalence_test.cpp):
+// exactly (pinned by the BookshelfGolden digests in
+// tests/netlist/bookshelf_scale_test.cpp):
 //   * tokens are split on whitespace;
 //   * a token *starting* with '#' comments out the rest of the line
 //     (but "foo#bar" is one ordinary token);
 //   * lines whose first token is "UCLA" (the format header) are skipped.
 // ---------------------------------------------------------------------------
 
-/// Read size of the streamed files; below glibc's default mmap threshold,
-/// so the buffer is reused heap rather than a fresh mapping per file.
+/// Read size of the scanner; below glibc's default mmap threshold, so the
+/// buffer is reused heap rather than a fresh mapping per file.
 constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
 
 constexpr bool is_space(char c) {
@@ -63,11 +63,6 @@ Status read_fail(const std::filesystem::path& path, const Status& st) {
 
 class Scanner {
  public:
-  /// Scan `data`, a whole file the caller keeps alive: token views stay
-  /// valid as long as `data` does.
-  Scanner(const std::filesystem::path& file, std::string_view data)
-      : file_(file), data_(data), eof_(true), file_bytes_(data.size()) {}
-
   /// Scan `file` as it is read, kChunkBytes at a time (call open()
   /// first): token views are valid until the next next_line().
   explicit Scanner(const std::filesystem::path& file) : file_(file) {}
@@ -81,7 +76,7 @@ class Scanner {
   }
 
   /// Advance to the next line with content; false at EOF or when a read
-  /// fails (io_status() then says why).  Tokens are valid as above.
+  /// fails (io_status() then says why).
   bool next_line() {
     for (;;) {
       std::size_t eol = data_.find('\n', pos_);
@@ -238,30 +233,28 @@ std::uint64_t hash_name(std::string_view name) {
   return h ^ (h >> 32);
 }
 
-/// Node name -> CellId over names that live elsewhere (`names`, views
-/// into the .nodes buffer).  Open addressing with linear probing over
-/// power-of-two slots, kept at most 3/4 full (a probe run mostly stays in
-/// one cache line of four slots): the table is sized from the declared
-/// NumNodes and doubles when a missing or understated count lets it
-/// fill.  A slot holds id + 1 (0 = empty), the name's first 8
-/// bytes and a tag of hash bits plus the length (saturated at 15), so a
-/// name of up to 8 bytes is matched inside the slot and a longer one
-/// reads its bytes only when head and tag both match.
+/// Node name -> CellId over the names the NetlistBuilder holds.  Open
+/// addressing with linear probing over power-of-two slots, kept at most
+/// 3/4 full (a probe run mostly stays in one cache line of four slots):
+/// the table is sized from the declared NumNodes and doubles when a
+/// missing or understated count lets it fill.  A slot holds id + 1 (0 =
+/// empty), the name's first 8 bytes and a tag of hash bits plus the
+/// length (saturated at 15), so a name of up to 8 bytes is matched inside
+/// the slot and a longer one reads the builder's copy only when head and
+/// tag both match.
 class NodeIndex {
  public:
-  explicit NodeIndex(const std::vector<std::string_view>& names)
-      : names_(names) {}
+  explicit NodeIndex(const NetlistBuilder& nb) : nb_(nb) {}
 
   /// Room for `n` names without growing.
   void reserve(std::size_t n) {
     if (4 * n > 3 * slots_.size()) rehash(n);
   }
 
-  /// Index names[id]; false (nothing changes) when an equal name is
-  /// already indexed.
-  bool insert(CellId id) {
+  /// Index `name` under `id`, the id the builder's next add_cell assigns;
+  /// false (nothing changes) when an equal name is already indexed.
+  bool insert(CellId id, std::string_view name) {
     if (4 * (size_ + 1) > 3 * slots_.size()) rehash(slots_.size());
-    const std::string_view name = names_[id];
     const Key k = key_of(name);
     for (std::size_t i = k.hash & mask_;; i = (i + 1) & mask_) {
       Slot& s = slots_[i];
@@ -306,7 +299,7 @@ class NodeIndex {
   }
   bool matches(const Slot& s, const Key& k, std::string_view name) const {
     return s.tag == k.tag && s.head == k.head &&
-           (name.size() <= 8 || names_[s.id_plus_one - 1] == name);
+           (name.size() <= 8 || nb_.cell_name(s.id_plus_one - 1) == name);
   }
 
   /// Grow to the smallest power of two (>= 16) that holds `names` names
@@ -319,31 +312,23 @@ class NodeIndex {
     mask_ = cap - 1;
     for (const Slot& s : old) {
       if (s.id_plus_one == 0) continue;
-      std::size_t i = hash_name(names_[s.id_plus_one - 1]) & mask_;
+      std::size_t i = hash_name(nb_.cell_name(s.id_plus_one - 1)) & mask_;
       while (slots_[i].id_plus_one != 0) i = (i + 1) & mask_;
       slots_[i] = s;
     }
   }
 
-  const std::vector<std::string_view>& names_;
+  const NetlistBuilder& nb_;
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
 
-/// Names view into the .nodes file buffer (kept alive by the caller
-/// until the builder has copied the names), so .nets/.pl lookups hash raw
-/// token views and no node holds a string of its own.
-struct NodesData {
-  std::vector<std::string_view> names;
-  std::vector<double> widths, heights;
-  std::vector<std::uint8_t> fixed;  // byte flags, matching NetlistBuilder
-  NodeIndex index{names};
-};
-
-Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
-                   NodesData* d) {
-  Scanner s(path, buf);
+/// Add every node of `path` to `nb` and index its name.
+Status parse_nodes(const std::filesystem::path& path, NetlistBuilder* nb,
+                   NodeIndex* index) {
+  Scanner s(path);
+  GTL_RETURN_IF_ERROR(s.open());
   std::uint64_t declared_nodes = 0, declared_terminals = 0;
   std::size_t declared_nodes_line = 0, declared_terminals_line = 0;
   std::size_t terminals = 0;
@@ -361,11 +346,8 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
       // allocation before the mismatch check fires.
       const auto n = static_cast<std::size_t>(
           std::min<std::uint64_t>(declared_nodes, s.file_bytes() / 6 + 1));
-      d->names.reserve(n);
-      d->widths.reserve(n);
-      d->heights.reserve(n);
-      d->fixed.reserve(n);
-      d->index.reserve(n);
+      nb->reserve(n, 0, 0);
+      index->reserve(n);
       continue;
     }
     if (toks[0] == "NumTerminals") {
@@ -387,12 +369,12 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
                     "' after node (only 'terminal'/'terminal_NI' is "
                     "allowed)");
     }
-    if (d->names.size() >= kInvalidCell - 1) {
+    if (nb->num_cells() >= kInvalidCell - 1) {
       return s.fail("too many nodes (32-bit cell-id overflow)");
     }
-    const auto id = static_cast<CellId>(d->names.size());
-    d->names.push_back(toks[0]);
-    if (!d->index.insert(id)) {
+    // Index the name before its dimensions parse, so a duplicate is
+    // reported ahead of a bad number on the same line.
+    if (!index->insert(static_cast<CellId>(nb->num_cells()), toks[0])) {
       return s.fail("duplicate node name '" + std::string(toks[0]) + "'");
     }
     double w = 0.0, h = 0.0;
@@ -401,16 +383,15 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
     const bool terminal = toks.size() == 4;
     // Zero-sized pads appear in real benchmarks; clamp like the seed
     // parser did so the Netlist's positive-area invariant holds.
-    d->widths.push_back(std::max(1e-9, w));
-    d->heights.push_back(std::max(1e-9, h));
-    d->fixed.push_back(terminal ? 1 : 0);
+    nb->add_cell(toks[0], std::max(1e-9, w), std::max(1e-9, h), terminal);
     if (terminal) ++terminals;
   }
-  if (declared_nodes_line != 0 && declared_nodes != d->names.size()) {
+  GTL_RETURN_IF_ERROR(s.io_status());
+  if (declared_nodes_line != 0 && declared_nodes != nb->num_cells()) {
     return parse_fail(path, declared_nodes_line,
                       "NumNodes declares " + std::to_string(declared_nodes) +
                           " nodes but the file defines " +
-                          std::to_string(d->names.size()));
+                          std::to_string(nb->num_cells()));
   }
   if (declared_terminals_line != 0 && declared_terminals != terminals) {
     return parse_fail(
@@ -421,7 +402,7 @@ Status parse_nodes(const std::filesystem::path& path, std::string_view buf,
   return Status::ok();
 }
 
-Status parse_nets(const std::filesystem::path& path, const NodesData& nodes,
+Status parse_nets(const std::filesystem::path& path, const NodeIndex& index,
                   NetlistBuilder* nb) {
   Scanner s(path);
   GTL_RETURN_IF_ERROR(s.open());
@@ -517,7 +498,7 @@ Status parse_nets(const std::filesystem::path& path, const NodesData& nodes,
       GTL_RETURN_IF_ERROR(expect_double(s, toks[3], &off));
       GTL_RETURN_IF_ERROR(expect_double(s, toks[4], &off));
     }
-    const CellId cell = nodes.index.find(toks[0]);
+    const CellId cell = index.find(toks[0]);
     if (cell == kInvalidCell) {
       return s.fail("pin references unknown node '" + std::string(toks[0]) +
                     "'");
@@ -543,17 +524,17 @@ Status parse_nets(const std::filesystem::path& path, const NodesData& nodes,
 }
 
 /// Parse .pl rows "<name> <x> <y> [: <orient> [/FIXED]]" into x/y and
-/// merge /FIXED into the fixed flags (the satellite bug: the seed parser
-/// dropped the suffix, so placement-fixed cells lost their fixed status
-/// unless .nodes also said terminal).  A .nodes/.pl disagreement and rows
-/// naming unknown nodes are surfaced as warnings, not errors.
-Status parse_pl(const std::filesystem::path& path, NodesData* nodes,
-                std::vector<double>* x, std::vector<double>* y,
-                std::vector<std::string>* warnings) {
+/// merge /FIXED into the builder's fixed flags (the seed parser dropped
+/// the suffix, so placement-fixed cells lost their fixed status unless
+/// .nodes also said terminal).  A .nodes/.pl disagreement and rows naming
+/// unknown nodes are surfaced as warnings, not errors.
+Status parse_pl(const std::filesystem::path& path, const NodeIndex& index,
+                NetlistBuilder* nb, std::vector<double>* x,
+                std::vector<double>* y, std::vector<std::string>* warnings) {
   Scanner s(path);
   GTL_RETURN_IF_ERROR(s.open());
-  x->assign(nodes->names.size(), 0.0);
-  y->assign(nodes->names.size(), 0.0);
+  x->assign(nb->num_cells(), 0.0);
+  y->assign(nb->num_cells(), 0.0);
   // A .pl that belongs to a different design would otherwise emit one
   // warning per row; keep the first few and summarize the rest so a
   // 2M-row mismatch stays a diagnostic, not a memory balloon.
@@ -572,7 +553,7 @@ Status parse_pl(const std::filesystem::path& path, NodesData* nodes,
     // Unknown names first, before any strict validation: the seed parser
     // tolerated arbitrary extra rows (placer banners, rows for another
     // design), so they stay a warning, never a hard failure.
-    const CellId cell = nodes->index.find(toks[0]);
+    const CellId cell = index.find(toks[0]);
     if (cell == kInvalidCell) {
       warn(path.string() + ":" + std::to_string(s.lineno()) +
            ": row for unknown node '" + std::string(toks[0]) + "' ignored");
@@ -602,12 +583,12 @@ Status parse_pl(const std::filesystem::path& path, NodesData* nodes,
     GTL_RETURN_IF_ERROR(expect_double(s, toks[2], &py));
     (*x)[cell] = px;
     (*y)[cell] = py;
-    if (fixed && nodes->fixed[cell] == 0) {
+    if (fixed && !nb->is_fixed(cell)) {
       warn(path.string() + ":" + std::to_string(s.lineno()) + ": node '" +
            std::string(toks[0]) +
            "' is /FIXED in .pl but not terminal in .nodes; "
            "treating it as fixed");
-      nodes->fixed[cell] = 1;
+      nb->set_fixed(cell);
     }
   }
   GTL_RETURN_IF_ERROR(s.io_status());
@@ -651,11 +632,6 @@ std::unordered_map<CellId, std::string> renamed_unnamed_cells(
   return renamed;
 }
 
-Status slurp(const std::filesystem::path& path, std::string* out) {
-  const Status st = read_file_to_string(path, out);
-  return st.is_ok() ? st : read_fail(path, st);
-}
-
 }  // namespace
 
 Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
@@ -666,26 +642,14 @@ Status try_read_bookshelf_files(const std::filesystem::path& nodes_path,
   out->y.clear();
   out->warnings.clear();
 
-  // The .nodes buffer stays alive while .nets/.pl parse: the node names
-  // and the name index keys view into it.
-  std::string nodes_buf;
-  GTL_RETURN_IF_ERROR(slurp(nodes_path, &nodes_buf));
-  NodesData nodes;
-  GTL_RETURN_IF_ERROR(parse_nodes(nodes_path, nodes_buf, &nodes));
-
-  // .pl before the builder runs so /FIXED flags merge into the cells.
+  NetlistBuilder nb;
+  NodeIndex index(nb);
+  GTL_RETURN_IF_ERROR(parse_nodes(nodes_path, &nb, &index));
   if (!pl_path.empty() && std::filesystem::exists(pl_path)) {
     GTL_RETURN_IF_ERROR(
-        parse_pl(pl_path, &nodes, &out->x, &out->y, &out->warnings));
+        parse_pl(pl_path, index, &nb, &out->x, &out->y, &out->warnings));
   }
-
-  NetlistBuilder nb;
-  nb.reserve(nodes.names.size(), 0, 0);
-  for (std::size_t i = 0; i < nodes.names.size(); ++i) {
-    nb.add_cell(nodes.names[i], nodes.widths[i], nodes.heights[i],
-                nodes.fixed[i] != 0);
-  }
-  GTL_RETURN_IF_ERROR(parse_nets(nets_path, nodes, &nb));
+  GTL_RETURN_IF_ERROR(parse_nets(nets_path, index, &nb));
   out->netlist = nb.build();
   return Status::ok();
 }

@@ -8,28 +8,33 @@
 //
 // The reader is a strictly-validating, zero-copy scanner: tokens are
 // std::string_views into the bytes read and numbers go through
-// std::from_chars.  .nodes is read whole (its names back the node-name
-// index, one open-addressing table that keeps names of up to 8 bytes
-// inside its slots, and the builder's copies); .nets, .pl and .aux
-// stream through one 64 KiB chunk.
-// Measured one cold process per parse, the medians of two rounds of 5,
-// 4-vCPU Xeon VM, GCC 12 Release (text = .nodes + .nets; peak = VmHWM):
+// std::from_chars.  Every file (.aux, .nodes, .nets, .pl) streams through
+// one 64 KiB chunk.  .nodes adds each cell straight to the
+// NetlistBuilder, whose packed name table (the one the Netlist keeps) is
+// the only copy of the names: the node-name index, one open-addressing
+// table, keeps names of up to 8 bytes inside its slots and reads longer
+// ones through the builder, and .pl merges /FIXED into the builder's
+// flags.  Measured one cold process per parse, medians of 10-25
+// alternating runs, 4-vCPU Xeon VM, GCC 12 Release (text = .nodes +
+// .nets; peak = VmHWM), with .nodes read whole -> streamed:
 //
-//   design (cells, text)             parse ms    MB/s   peak MB
-//   paper, planted (48k, 3.0 MB)           32      95       9.4
-//   adaptec1-like (212k, 13.7 MB)     233-237      58      34.7
-//   bigblue3-like (1.1M, 75.8 MB)   1392-1493   51-54     160.6
+//   design (cells, text)            parse ms     peak MB       .aux+.pl MB
+//   paper, planted (48k, 3.0 MB)    34 -> 34     9.4 -> 7.4    10.2 -> 8.3
+//   adaptec1-like (212k, 13.7 MB)   273 -> 260   34.7 -> 25.7  38.0 -> 29.0
+//   bigblue3-like (1.1M, 75.8 MB)   1807 -> 1799 160.5 -> 113.2 177.5 -> 130.4
 //
-// (was 51-55, 488-555 and 3450-4383 ms at 12.2, 43.7 and 218.4 MB with a
-// node-based hash map and whole-file buffers for every file).  Per pin
-// the parse costs a hash probe and a name compare, random accesses that
-// stop fitting in cache as designs grow, so large designs parse slower
-// per byte.  Every malformed input is rejected with a
-// "bookshelf: <file>:<line>: <what>" diagnostic — short nets, duplicate
-// node names, unknown pins, count mismatches, truncated files, and
-// unparsable numbers all name their exact location.  Non-fatal oddities
-// (a node /FIXED in .pl but not terminal in .nodes, .pl rows for unknown
-// nodes) are recorded in BookshelfDesign::warnings.
+// (the parse times overlap within their quartiles; a node-based hash map
+// with whole-file buffers for every file took 51-55, 488-555 and
+// 3450-4383 ms at 12.2, 43.7 and 218.4 MB).  Per pin the parse costs a
+// hash probe and a name compare, random accesses that stop fitting in
+// cache as designs grow, so large designs parse slower per byte.  Every
+// malformed input is rejected with a "bookshelf: <file>:<line>: <what>"
+// diagnostic — short nets, duplicate node names, unknown pins, count
+// mismatches, truncated files, and unparsable numbers all name their
+// exact location — and a failed read with "bookshelf: read failed for
+// <file>".  Non-fatal oddities (a node /FIXED in .pl but not terminal in
+// .nodes, .pl rows for unknown nodes) are recorded in
+// BookshelfDesign::warnings.
 //
 // For repeated loads of the same design, prefer the binary snapshot
 // format in netlist_io.hpp, which reloads at 290-490 MB/s (the same

@@ -195,6 +195,15 @@ class NetlistBuilder {
   [[nodiscard]] std::size_t num_cells() const { return widths_.size(); }
   [[nodiscard]] std::size_t num_nets() const { return net_offset_.size() - 1; }
 
+  /// Name of an added cell, a view into the packed table build() hands
+  /// to the Netlist (valid until the next add_cell).
+  [[nodiscard]] std::string_view cell_name(CellId c) const {
+    return cell_names_.at(c);
+  }
+  [[nodiscard]] bool is_fixed(CellId c) const { return fixed_[c] != 0; }
+  /// Mark an added cell fixed.
+  void set_fixed(CellId c) { fixed_[c] = 1; }
+
   /// Finalize. The builder is left empty afterwards.
   [[nodiscard]] Netlist build();
 

@@ -16,15 +16,9 @@ std::size_t design_resident_bytes(const BookshelfDesign& design) {
 }
 
 DesignRegistry::DesignRegistry(std::size_t max_resident_bytes,
-                               std::size_t hard_resident_bytes,
                                std::size_t max_idle_sessions)
-    : max_bytes_(max_resident_bytes),
-      hard_bytes_(hard_resident_bytes),
-      max_idle_sessions_(max_idle_sessions) {
+    : max_bytes_(max_resident_bytes), max_idle_sessions_(max_idle_sessions) {
   GTL_REQUIRE(max_resident_bytes > 0, "residency cap must be positive");
-  GTL_REQUIRE(hard_resident_bytes == 0 ||
-                  hard_resident_bytes >= max_resident_bytes,
-              "hard watermark must be 0 (off) or >= the soft watermark");
 }
 
 Status DesignRegistry::load(const std::string& name,
@@ -64,18 +58,6 @@ Status DesignRegistry::load(const std::string& name,
   entry->source_aux = aux.string();
   entry->source_snapshot = snapshot.string();
 
-  // Hard watermark: a design that alone exceeds it would force every
-  // other design out and still overshoot — shed it instead.  After the
-  // LRU eviction below the steady-state total is <= max(soft, this
-  // design), so this upfront check is the only way past hard.
-  if (hard_bytes_ != 0 && entry->resident_bytes > hard_bytes_) {
-    return Status::unavailable(
-        "design \"" + name + "\" needs " +
-        std::to_string(entry->resident_bytes) +
-        " resident bytes, above the hard watermark of " +
-        std::to_string(hard_bytes_));
-  }
-
   MutexLock lk(mu_);
   if (entries_.count(name) != 0) {
     return Status::invalid_argument("design \"" + name +
@@ -98,13 +80,6 @@ Status DesignRegistry::insert(const std::string& name, BookshelfDesign design,
   entry->name = name;
   entry->design = std::move(design);
   entry->resident_bytes = design_resident_bytes(entry->design);
-  if (hard_bytes_ != 0 && entry->resident_bytes > hard_bytes_) {
-    return Status::unavailable(
-        "design \"" + name + "\" needs " +
-        std::to_string(entry->resident_bytes) +
-        " resident bytes, above the hard watermark of " +
-        std::to_string(hard_bytes_));
-  }
 
   MutexLock lk(mu_);
   if (entries_.count(name) != 0) {

@@ -59,15 +59,11 @@ class DesignRegistry {
  public:
   using EntryPtr = std::shared_ptr<const DesignEntry>;
 
-  /// `max_resident_bytes` is the *soft* watermark: loading past it
-  /// evicts LRU entries to make room (a single oversized design is
-  /// still admitted — see above).  `hard_resident_bytes`, when nonzero,
-  /// is the shed point: a design whose own footprint exceeds it is
-  /// refused with kUnavailable instead of nuking the whole working set.
-  /// 0 keeps the pre-watermark behavior (admit anything).  Each entry's
-  /// session pool keeps up to `max_idle_sessions` warm sessions.
+  /// `max_resident_bytes` is the watermark: loading past it evicts LRU
+  /// entries to make room (a single oversized design is still admitted —
+  /// see above).  Each entry's session pool keeps up to
+  /// `max_idle_sessions` warm sessions.
   explicit DesignRegistry(std::size_t max_resident_bytes,
-                          std::size_t hard_resident_bytes = 0,
                           std::size_t max_idle_sessions = 4);
 
   /// What a load did, for the response/metrics.
@@ -110,7 +106,6 @@ class DesignRegistry {
 
   [[nodiscard]] std::size_t total_resident_bytes() const GTL_EXCLUDES(mu_);
   [[nodiscard]] std::size_t max_resident_bytes() const { return max_bytes_; }
-  [[nodiscard]] std::size_t hard_resident_bytes() const { return hard_bytes_; }
   [[nodiscard]] std::size_t size() const GTL_EXCLUDES(mu_);
 
  private:
@@ -124,10 +119,9 @@ class DesignRegistry {
   };
 
   mutable Mutex mu_;
-  // Watermarks and the pool size are fixed at construction; only the
+  // The watermark and the pool size are fixed at construction; only the
   // guarded state below is shared.
   const std::size_t max_bytes_;
-  const std::size_t hard_bytes_;
   const std::size_t max_idle_sessions_;
   std::size_t total_bytes_ GTL_GUARDED_BY(mu_) = 0;
   /// Front = most recently used.

@@ -54,7 +54,6 @@ JsonValue ServerMetrics::to_json() const {
   global.emplace("designs_evicted", JsonValue(designs_evicted));
   global.emplace("designs_recovered", JsonValue(designs_recovered));
   global.emplace("loads_idempotent", JsonValue(loads_idempotent));
-  global.emplace("loads_shed", JsonValue(loads_shed));
   global.emplace("manifest_write_failures", JsonValue(manifest_write_failures));
   global.emplace("cancel_requests", JsonValue(cancel_requests));
 

@@ -61,7 +61,7 @@ struct DesignMetrics {
 struct ServerMetrics {
   std::uint64_t received = 0;           ///< request lines seen
   std::uint64_t rejected_invalid = 0;   ///< parse/validation rejections
-  std::uint64_t rejected_overload = 0;  ///< queue-full + watermark sheds
+  std::uint64_t rejected_overload = 0;  ///< queue-full sheds
   std::uint64_t completed_ok = 0;       ///< any op answered ok=true
   std::uint64_t snapshot_hits = 0;      ///< load_design served from cache
   std::uint64_t snapshot_fill_failures = 0;  ///< best-effort fill failed
@@ -69,7 +69,6 @@ struct ServerMetrics {
   std::uint64_t designs_evicted = 0;
   std::uint64_t designs_recovered = 0;  ///< manifest replay re-loads
   std::uint64_t loads_idempotent = 0;   ///< load_design same-source replays
-  std::uint64_t loads_shed = 0;         ///< hard-watermark refusals
   std::uint64_t manifest_write_failures = 0;
   std::uint64_t cancel_requests = 0;
   std::map<std::string, DesignMetrics> per_design;

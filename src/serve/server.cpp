@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -10,6 +11,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Longest accepted request line; a longer one closes the connection.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -18,8 +22,7 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
-      registry_(cfg_.max_resident_bytes, cfg_.hard_resident_bytes,
-                cfg_.max_idle_sessions) {
+      registry_(cfg_.max_resident_bytes, cfg_.max_idle_sessions) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.queue_capacity == 0) cfg_.queue_capacity = 1;
   workers_.reserve(cfg_.workers);
@@ -32,7 +35,6 @@ Server::Server(ServerConfig cfg)
 Server::~Server() { stop(); }
 
 Status Server::preload(const std::string& name, BookshelfDesign design) {
-  release_to_preload(name);
   DesignRegistry::LoadInfo info;
   GTL_RETURN_IF_ERROR(registry_.insert(name, std::move(design), &info));
   (void)manifest_apply("", nullptr, info.evicted);
@@ -45,23 +47,11 @@ Status Server::preload(const std::string& name,
                        const std::filesystem::path& aux,
                        const std::filesystem::path& snapshot,
                        DesignRegistry::LoadInfo* info) {
-  release_to_preload(name);
   GTL_RETURN_IF_ERROR(registry_.load(name, aux, snapshot, info));
   (void)manifest_apply("", nullptr, info->evicted);
   MutexLock lk(metrics_mu_);
   count_load(*info);
   return Status::ok();
-}
-
-void Server::release_to_preload(const std::string& name) {
-  bool recorded = false;
-  {
-    MutexLock lk(manifest_mu_);
-    recorded = manifest_.count(name) != 0;
-  }
-  if (!recorded) return;
-  (void)manifest_apply("", nullptr, {name});
-  registry_.erase(name);
 }
 
 void Server::count_load(const DesignRegistry::LoadInfo& info) {
@@ -97,7 +87,8 @@ Status Server::manifest_apply(const std::string& record_name,
   return st;
 }
 
-Status Server::recover_from_manifest(RecoveryReport* report) {
+Status Server::recover_from_manifest(RecoveryReport* report,
+                                     const std::vector<std::string>& preloads) {
   report->attempted = 0;
   report->recovered = 0;
   report->notes.clear();
@@ -114,6 +105,9 @@ Status Server::recover_from_manifest(RecoveryReport* report) {
 
   Manifest survivors;
   for (const auto& [name, entry] : recorded) {
+    if (std::find(preloads.begin(), preloads.end(), name) != preloads.end()) {
+      continue;
+    }
     ++report->attempted;
     DesignRegistry::LoadInfo info;
     const Status st = registry_.load(name, entry.aux, entry.snapshot, &info);
@@ -464,17 +458,6 @@ void Server::execute_load(Job& job) {
   const Status st =
       registry_.load(name, job.req.aux, job.req.snapshot, &info);
   if (!st.is_ok()) {
-    if (st.code() == StatusCode::kUnavailable) {
-      // Hard watermark shed: same wire contract as a full queue.
-      {
-        MutexLock lk(metrics_mu_);
-        ++metrics_.loads_shed;
-        ++metrics_.rejected_overload;
-      }
-      reply_error(job, ErrorCode::kOverloaded, st.message(),
-                  cfg_.retry_after_ms);
-      return;
-    }
     const ErrorCode code = st.code() == StatusCode::kNotFound
                                ? ErrorCode::kNotFound
                                : ErrorCode::kInvalidArgument;
@@ -629,8 +612,6 @@ JsonValue Server::status_json() {
                                     registry_.total_resident_bytes())));
   obj.emplace("max_resident_bytes", JsonValue(static_cast<std::uint64_t>(
                                         registry_.max_resident_bytes())));
-  obj.emplace("hard_resident_bytes", JsonValue(static_cast<std::uint64_t>(
-                                         registry_.hard_resident_bytes())));
   obj.emplace("queue_depth",
               JsonValue(static_cast<std::uint64_t>(queue_depth)));
   obj.emplace("queue_capacity",
@@ -712,7 +693,7 @@ Status Server::serve(const std::atomic<bool>& stop_flag,
       for (;;) {
         bool eof = false;
         if (const Status st =
-                conn->stream.read_line(&line, &eof, cfg_.max_line_bytes);
+                conn->stream.read_line(&line, &eof, kMaxLineBytes);
             !st.is_ok()) {
           // An oversized line means the peer is alive but framing is
           // lost: tell it once, then drop.  Any other read error is a

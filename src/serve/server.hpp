@@ -73,14 +73,9 @@ struct ServerConfig {
   /// Admission-queue bound; a request arriving when `queue_capacity`
   /// jobs are already waiting is rejected with "overloaded".
   std::size_t queue_capacity = 16;
-  /// Registry residency soft watermark (LRU eviction above this).
+  /// Registry residency watermark (LRU eviction above this).
   std::size_t max_resident_bytes = std::size_t{512} << 20;
-  /// Hard residency watermark: a load whose design alone exceeds this is
-  /// shed with "overloaded" + retry_after_ms instead of evicting the
-  /// entire working set.  0 = off (any single design is admitted).
-  std::size_t hard_resident_bytes = 0;
-  /// Backoff hint stamped on shed responses (queue full, hard
-  /// watermark).
+  /// Backoff hint stamped on shed responses (queue full).
   std::uint64_t retry_after_ms = 1000;
   /// Crash-safe design manifest path; empty = no manifest.  See
   /// manifest.hpp for the write-ahead discipline and
@@ -93,8 +88,6 @@ struct ServerConfig {
   std::size_t max_threads_per_query = 0;
   /// Warm Finder sessions kept per design (each registry entry's pool).
   std::size_t max_idle_sessions = 4;
-  /// Longest accepted request line; longer closes the connection.
-  std::size_t max_line_bytes = std::size_t{1} << 20;
 };
 
 class Server {
@@ -112,8 +105,8 @@ class Server {
   /// Register an already-built design (preload / demo / tests), bypassing
   /// the wire protocol.  Same registry semantics as load_design, but the
   /// design records no sources (so it is neither manifested nor
-  /// idempotently reloadable).  A design recover_from_manifest() brought
-  /// back under `name` is replaced and leaves the manifest (both
+  /// idempotently reloadable).  A restart names its preloads to
+  /// recover_from_manifest(), which leaves them unloaded (both
   /// overloads).
   [[nodiscard]] Status preload(const std::string& name, BookshelfDesign design)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
@@ -131,7 +124,7 @@ class Server {
 
   /// What a manifest replay did.
   struct RecoveryReport {
-    std::size_t attempted = 0;  ///< manifest entries seen
+    std::size_t attempted = 0;  ///< manifest entries replayed
     std::size_t recovered = 0;  ///< designs re-loaded successfully
     std::vector<std::string> notes;  ///< one line per dropped entry
   };
@@ -139,10 +132,15 @@ class Server {
   /// Replay `cfg.manifest_path`: re-load every recorded design from its
   /// recorded sources, then rewrite the manifest with the survivors
   /// (entries whose sources vanished are dropped with a note, not
-  /// fatal).  A missing manifest is a fresh server (OK, zero attempted);
-  /// a corrupt one is reported as an error and otherwise ignored — the
-  /// next successful load overwrites it.  Call before serving traffic.
-  [[nodiscard]] Status recover_from_manifest(RecoveryReport* report)
+  /// fatal).  An entry named in `preloads` is dropped without a load:
+  /// the preload that follows owns that name (a client that unloaded a
+  /// preloaded design and loaded it again over the wire left it in the
+  /// manifest).  A missing manifest is a fresh server (OK, zero
+  /// attempted); a corrupt one is reported as an error and otherwise
+  /// ignored — the next successful load overwrites it.  Call before
+  /// serving traffic and before the preloads.
+  [[nodiscard]] Status recover_from_manifest(
+      RecoveryReport* report, const std::vector<std::string>& preloads = {})
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
 
   /// Feed one request line into the server.  Inline-lane entry point:
@@ -241,13 +239,6 @@ class Server {
   [[nodiscard]] Status manifest_apply(const std::string& record_name,
                                       const ManifestEntry* record,
                                       const std::vector<std::string>& forget)
-      GTL_EXCLUDES(manifest_mu_, metrics_mu_);
-  /// Hand a name the manifest recovered back to a preload: a client that
-  /// unloaded a preloaded design and loaded it again over the wire left
-  /// it in the manifest, so a restart recovers it before the preload
-  /// runs.  The entry leaves the manifest and the recovered copy the
-  /// registry, and the preload then loads it as at any start.
-  void release_to_preload(const std::string& name)
       GTL_EXCLUDES(manifest_mu_, metrics_mu_);
   void finish_inflight(std::uint64_t id) GTL_EXCLUDES(inflight_mu_);
 

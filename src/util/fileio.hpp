@@ -3,9 +3,8 @@
 // scanner, the snapshot reader) pull a file front to back through a
 // FileReader into their own chunk buffer or straight into the arrays they
 // build, so a load holds no whole-file copy beside its result;
-// read_file_to_string slurps a file whose bytes must outlive the read
-// (manifests, failpoint schedules, and Bookshelf .nodes, whose names the
-// node-name index views) in one gulp.
+// read_file_to_string slurps a small file parsed as a whole (manifests,
+// failpoint schedules) in one gulp.
 
 #include <cstdint>
 #include <filesystem>

@@ -1,17 +1,17 @@
 // The Bookshelf reader at scale and against recorded digests.
 //
-//   * BookshelfGolden: FNV-1a digests of what the reader makes of every
-//     design bookshelf_equivalence_test generates (CSR, net sizes, names,
-//     dimensions, fixed flags, placement), recorded from the reader that
-//     the embedded seed parser there pins.  They hold the parse to the
-//     same bytes without an embedded reference.
+//   * BookshelfGolden: FNV-1a digests of what the reader makes of a set of
+//     generated designs and of a quirky but valid dialect (CSR, net
+//     sizes, names, dimensions, fixed flags, placement), recorded while
+//     an embedded copy of the seed parser still checked the reader.  They
+//     hold the parse to the same bytes without an embedded reference.
 //   * BookshelfScaleTest: a generated design of 120k nodes exercises the
-//     node-name index and the chunked .nets scanner: long names, names
-//     that differ only in their last byte, a missing and an understated
+//     node-name index and the chunked scanner: long names, names that
+//     differ only in their last byte, a missing and an understated
 //     NumNodes line, a duplicate node and an unknown pin near the end of
-//     their files (each reported at its exact file:line), a .nets line
-//     longer than the scanner's chunk, and a .nets file with no trailing
-//     newline.
+//     their files (each reported at its exact file:line), a .nodes and a
+//     .nets line longer than the scanner's chunk, and a .nets file with
+//     no trailing newline.
 
 #include <gtest/gtest.h>
 
@@ -103,7 +103,8 @@ class BookshelfGolden : public ::testing::Test {
 };
 
 TEST_F(BookshelfGolden, EquivalenceDesignsMatchRecordedDigests) {
-  // The three generated shapes of GeneratedDesignsParseIdentically.
+  // Three generated shapes: plain, terminal-heavy with placement,
+  // structure-rich.
   const std::uint64_t kGenerated[3] = {
       0xf17b93214d62d699ull, 0x477eb1cfbe8b1ae7ull, 0x710c1ad2779c275bull};
   for (int variant = 0; variant < 3; ++variant) {
@@ -131,7 +132,11 @@ TEST_F(BookshelfGolden, EquivalenceDesignsMatchRecordedDigests) {
         << parse_digest(stem);
   }
 
-  // The quirky dialect of QuirkyValidDialectParsesIdentically.
+  // Every oddity the seed tokenizer accepted: comments (full-line, and
+  // token-starting mid-line), '#' inside a token, tabs and runs of
+  // blanks, CRLF endings, UCLA headers mid-file, count lines without
+  // ':', pin direction + offset fields, .pl orientation rows, .pl rows
+  // for unknown nodes, zero-width nodes (clamped), no trailing newline.
   write_text(dir_ / "q.nodes",
              "UCLA nodes 1.0\r\n"
              "# full comment\r\n"
@@ -185,7 +190,8 @@ TEST_F(BookshelfGolden, EquivalenceDesignsMatchRecordedDigests) {
     EXPECT_EQ(h, 0xe5b98ca6b80c955eull) << std::hex << "fp1 digest 0x" << h;
   }
 
-  // UnnamedDesignRoundTripsThroughGeneratedNames' design.
+  // UnnamedDesignRoundTripsThroughGeneratedNames' design, read through
+  // the names o<c> the writer gives unnamed cells.
   {
     BookshelfDesign d;
     NetlistBuilder nb;
@@ -289,13 +295,16 @@ class BookshelfScaleTest : public ::testing::Test {
     return path;
   }
 
-  /// Write <stem>.nets with the generated nets, `extra` appended verbatim.
-  fs::path write_nets(const std::string& stem,
-                      const std::string& extra = {}) const {
+  /// Write <stem>.nets with the generated nets, `extra` appended verbatim
+  /// and counted in NumNets/NumPins as `extra_nets` nets of `extra_pins`.
+  fs::path write_nets(const std::string& stem, const std::string& extra = {},
+                      std::size_t extra_nets = 0,
+                      std::size_t extra_pins = 0) const {
     const ScaleDesign& d = scale_design();
     std::string text = "UCLA nets 1.0\nNumNets : " +
-                       std::to_string(d.nets.size()) + "\nNumPins : " +
-                       std::to_string(d.num_pins) + "\n";
+                       std::to_string(d.nets.size() + extra_nets) +
+                       "\nNumPins : " +
+                       std::to_string(d.num_pins + extra_pins) + "\n";
     for (const std::string& line : d.net_lines) {
       text += line;
       text += '\n';
@@ -433,6 +442,26 @@ TEST_F(BookshelfScaleTest, NetsLineLongerThanTheChunkParses) {
                        long_name + " extra\n");
   expect_error_at(parse(nodes, nets, &got), nets, 3,
                   "malformed NetDegree (expected 'NetDegree : <d> [name]')");
+}
+
+TEST_F(BookshelfScaleTest, NodesLineLongerThanTheChunkParses) {
+  // One more node whose name is far longer than any read chunk; a pin
+  // finds it through the name the builder holds.
+  const std::string long_name(300'000, 'v');
+  const fs::path nodes =
+      write_nodes("d", "NumNodes : " + std::to_string(kNodes + 1),
+                  long_name + " 1 1\n");
+  const fs::path nets = write_nets(
+      "d", "NetDegree : 2\n\t" + long_name + " B\n\t" + node_name(0) + " B\n",
+      1, 2);
+  const ScaleDesign& d = scale_design();
+  BookshelfDesign got;
+  ASSERT_TRUE(parse(nodes, nets, &got).is_ok());
+  ASSERT_EQ(got.netlist.num_cells(), kNodes + 1);
+  EXPECT_EQ(got.netlist.cell_name(static_cast<CellId>(kNodes)), long_name);
+  const auto last = got.netlist.pins_of(static_cast<NetId>(d.nets.size()));
+  EXPECT_EQ(std::vector<CellId>(last.begin(), last.end()),
+            (std::vector<CellId>{0, static_cast<CellId>(kNodes)}));
 }
 
 TEST_F(BookshelfScaleTest, NetsWithoutTrailingNewlineParses) {

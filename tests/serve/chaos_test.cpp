@@ -364,11 +364,11 @@ TEST_F(ChaosTest, SnapshotFillFaultLeavesNoPartialCache) {
 }
 
 // The streamed readers under read faults: an injected open failure, a
-// failed read, and torn reads that cut each file of a Bookshelf design
-// (.aux, .nodes, .nets) or its snapshot at sizes around the header and
-// the .nets chunk each give a clean Status or, when the cut leaves the
-// file whole, the design itself; the files load again once the schedule
-// is spent.
+// failed read (reported as "read failed for <file>" for each file of a
+// Bookshelf design: .aux, .nodes, .nets) and torn reads that cut each
+// file or the snapshot at sizes around the header and the scanner's
+// chunk each give a clean Status or, when the cut leaves the file whole,
+// the design itself; the files load again once the schedule is spent.
 TEST_F(ChaosTest, StreamedReadersReturnCleanStatusUnderReadFaults) {
   PlantedGraphConfig pcfg;
   pcfg.num_cells = 6000;  // a .nets file of several 64 KiB chunks
@@ -413,16 +413,19 @@ TEST_F(ChaosTest, StreamedReadersReturnCleanStatusUnderReadFaults) {
   st = try_read_snapshot(snap, &got);
   EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
   EXPECT_NE(st.message().find("read failed"), std::string::npos);
-  for (std::uint64_t skip = 0; skip < 3; ++skip) {  // .aux, .nodes, .nets
+  const fs::path files[] = {aux, dir_ / "big.nodes", dir_ / "big.nets"};
+  for (std::uint64_t skip = 0; skip < 3; ++skip) {
     failpoint::Spec fail = once;
     fail.skip = skip;
     failpoint::arm("fileio.read", fail);
     st = try_read_bookshelf(aux, &got);
     EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
+    EXPECT_NE(st.message().find("read failed for " + files[skip].string()),
+              std::string::npos)
+        << st.to_string();
     EXPECT_EQ(failpoint::trigger_count("fileio.read"), 1u);
   }
 
-  const fs::path files[] = {aux, dir_ / "big.nodes", dir_ / "big.nets"};
   for (const std::uint64_t cut :
        {0, 1, 17, 63, 64, 65, 4096, 65535, 65536, 65537, 140000}) {
     for (std::uint64_t skip = 0; skip < 3; ++skip) {

@@ -100,6 +100,16 @@ class ManifestRecoveryTest : public ::testing::Test {
     return false;
   }
 
+  /// A counter of the `stats` op's global block.
+  static std::uint64_t global_stat(Server& server, const char* key) {
+    const JsonValue stats =
+        parse(server.handle_line(R"({"id": 98, "op": "stats"})"));
+    const JsonValue* value = stats.find("result")->find("global")->find(key);
+    std::uint64_t n = 0;
+    EXPECT_TRUE(value != nullptr && value->get_uint64(&n).is_ok()) << key;
+    return n;
+  }
+
   /// The result block of an OK response, as a compact string.
   static std::string result_dump(const std::string& line) {
     const JsonValue json = parse(line);
@@ -325,17 +335,22 @@ TEST_F(ManifestRecoveryTest, RestartWithPreloadOfAManifestedDesignServesIt) {
     ASSERT_EQ(manifest.count("d1"), 1u);
   }
 
-  // The restart with the same flags: recovery first, then the preload.
+  // The restart with the same flags: recovery first, told of the
+  // preload, which then loads d1 once.
   Server revived(server_config());
   Server::RecoveryReport report;
-  ASSERT_TRUE(revived.recover_from_manifest(&report).is_ok());
-  EXPECT_EQ(report.recovered, 1u);
+  ASSERT_TRUE(revived.recover_from_manifest(&report, {"d1"}).is_ok());
+  EXPECT_EQ(report.attempted, 0u);
+  EXPECT_EQ(report.recovered, 0u);
   DesignRegistry::LoadInfo info;
   const Status st = revived.preload("d1", aux_path_, {}, &info);
   ASSERT_TRUE(st.is_ok()) << st.to_string();
   ASSERT_TRUE(has_design(revived, "d1"));
   const JsonValue run = parse(revived.handle_line(run_line(3, "d1")));
   EXPECT_EQ(run.find("error"), nullptr) << run.dump();
+  EXPECT_NE(run.find("result"), nullptr) << run.dump();
+  EXPECT_EQ(global_stat(revived, "designs_loaded"), 1u);
+  EXPECT_EQ(global_stat(revived, "designs_recovered"), 0u);
 
   // The preload owns d1 again: its flags, not the manifest, restore it.
   Manifest manifest;

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "gtl/netlist.hpp"
 #include "graphgen/presets.hpp"
@@ -80,10 +81,6 @@ int main(int argc, char** argv) {
                 "\"overloaded\" (default 16)")
       .describe("max-resident-mb=N",
                 "design registry residency cap, LRU-evicted (default 512)")
-      .describe("hard-resident-mb=N",
-                "hard watermark: a single design above this is shed with "
-                "\"overloaded\" instead of evicting everything "
-                "(default 0 = off)")
       .describe("retry-after-ms=N",
                 "backoff hint stamped on overloaded rejections "
                 "(default 1000)")
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
   cfg.workers = get_count(args, "workers", 2);
   cfg.queue_capacity = get_count(args, "queue-cap", 16);
   cfg.max_resident_bytes = get_mib(args, "max-resident-mb", 512);
-  cfg.hard_resident_bytes = get_mib(args, "hard-resident-mb", 0);
   cfg.retry_after_ms = get_count(args, "retry-after-ms", 1000);
   cfg.manifest_path = args.get_string("manifest");
   cfg.default_deadline_ms = get_count(args, "default-deadline-ms", 0);
@@ -158,8 +154,12 @@ int main(int argc, char** argv) {
   gtl::serve::Server server(cfg);
 
   if (!cfg.manifest_path.empty()) {
+    // The preloads below own their names: recovery leaves those unloaded.
+    std::vector<std::string> preloads;
+    if (!demo_design.empty()) preloads.push_back(demo_design);
+    if (!preload_name.empty()) preloads.push_back(preload_name);
     gtl::serve::Server::RecoveryReport report;
-    if (const gtl::Status st = server.recover_from_manifest(&report);
+    if (const gtl::Status st = server.recover_from_manifest(&report, preloads);
         !st.is_ok()) {
       // A corrupt manifest is degraded durability, not an outage.
       std::cerr << "gtl_serve: manifest recovery failed: " << st.to_string()
