@@ -82,7 +82,6 @@ Finder::Finder(const Netlist& nl, FinderConfig cfg)
     : nl_(&nl), cfg_(std::move(cfg)), pool_(validated(cfg_).num_threads) {
   ocfg_.max_length = cfg_.max_ordering_length;
   ocfg_.large_net_threshold = cfg_.large_net_threshold;
-  ocfg_.min_cut_first = cfg_.min_cut_first;
   scratch_.resize(pool_.size());
   // Movable cells (fixed pads never seed or join a GTL) — the netlist is
   // bound for the session's lifetime, so collect them once.

@@ -55,7 +55,8 @@ namespace gtl {
 
 /// The settable parameters of a run.  The clear-minimum test, the Rent
 /// estimate's floor and Phase III's size floor are fixed constants
-/// (score_curve.hpp), not settings.
+/// (score_curve.hpp), not settings, and Phase I always ranks by
+/// connection first (paper §3.2.1; see linear_ordering.hpp).
 struct FinderConfig {
   /// m: number of random starting seeds.
   std::size_t num_seeds = 100;
@@ -63,8 +64,6 @@ struct FinderConfig {
   std::size_t max_ordering_length = 100'000;
   /// Paper's large-net update skip (0 = exact).
   std::uint32_t large_net_threshold = 20;
-  /// Ablation: rank frontier cells by min-cut first (see OrderingConfig).
-  bool min_cut_first = false;
   /// Φ used for selection and pruning (paper's final choice: GTL-SD).
   ScoreKind score = ScoreKind::kGtlSd;
   /// l: inner re-growths per candidate in Phase III; 0 skips refinement

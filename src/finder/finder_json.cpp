@@ -186,7 +186,6 @@ JsonValue to_json(const FinderConfig& cfg) {
   obj.emplace("max_ordering_length",
               JsonValue(static_cast<std::uint64_t>(cfg.max_ordering_length)));
   obj.emplace("large_net_threshold", JsonValue(cfg.large_net_threshold));
-  obj.emplace("min_cut_first", JsonValue(cfg.min_cut_first));
   obj.emplace("score", JsonValue(score_kind_name(cfg.score)));
   obj.emplace("refine_seeds",
               JsonValue(static_cast<std::uint64_t>(cfg.refine_seeds)));
@@ -205,7 +204,6 @@ Status finder_config_from_json(const JsonValue& json, FinderConfig* out) {
       r.read_size("max_ordering_length", &cfg.max_ordering_length));
   GTL_RETURN_IF_ERROR(
       r.read_u32("large_net_threshold", &cfg.large_net_threshold));
-  GTL_RETURN_IF_ERROR(r.read_bool("min_cut_first", &cfg.min_cut_first));
   GTL_RETURN_IF_ERROR(r.read_with("score", [&](const JsonValue& v) -> Status {
     std::string name;
     GTL_RETURN_IF_ERROR(v.get_string(&name));

@@ -1,8 +1,8 @@
 #pragma once
 // Connectivity bookkeeping for a group of cells C ⊆ V: the plain oracle
-// behind the group metrics (score_members, score_group,
-// select_aware_score) and the independent check of the numbers the
-// finder reports.  Cells are added one at a time; it maintains
+// behind the group metrics (score_members, score_group) and the
+// independent check of the numbers the finder reports.  Cells are added
+// one at a time; it maintains
 //
 //   T(C)      — the net cut  |{e : e∩C ≠ ∅ and e∩(V−C) ≠ ∅}|
 //   pins(C)   — Σ_{c∈C} degree(c), so  A_C = pins(C)/|C|

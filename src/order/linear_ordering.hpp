@@ -8,9 +8,11 @@
 // where λ(e) = |e| − |e∩S| is the number of pins of net e outside the
 // group (so nets mostly inside the group weigh more).  Ties are broken by
 // the smaller net-cut delta (paper: "favoring min cut"), then by cell id
-// for determinism.  The order of absorption is the linear ordering; the
-// engine also records T(C_k) and pins(C_k) for every prefix, which is all
-// Phase II needs.
+// for determinism.  Connection ranks first because min cut as the
+// primary criterion is likely to pull a weakly connected outside cell
+// into the group (§3.2.1).  The order of absorption is the linear
+// ordering; the engine also records T(C_k) and pins(C_k) for every
+// prefix, which is all Phase II needs.
 //
 // The paper's large-net trick (§4.1.2) is reproduced: nets with
 // λ(e) >= large_net_threshold (default 20) contribute nothing to conn and
@@ -34,11 +36,6 @@ struct OrderingConfig {
   /// Skip gain updates through nets with >= this many external pins;
   /// 0 disables the trick (exact gains).
   std::uint32_t large_net_threshold = 20;
-  /// Ablation knob: rank frontier cells by min cut delta first and
-  /// connection gain second — the ordering the paper argues *against* in
-  /// §3.2.1 ("if we use min-cut as the primary criterion, it is quite
-  /// likely that [an outside] cell is included into the growing group").
-  bool min_cut_first = false;
 };
 
 /// A linear ordering with per-prefix connectivity statistics.
@@ -114,36 +111,30 @@ class OrderingEngine {
   /// A frontier cell's gains and id packed into one unsigned 128-bit key
   /// whose integer order is the rank order (paper I.7: highest conn
   /// first, lowest cut delta breaks ties), so the heap top is the largest
-  /// key.  From high bits to low:
+  /// key and every compare is one integer `>`.  From high bits to low:
   ///   - the bits of conn: conn > 0 on the frontier, and positive doubles
   ///     order like their bit patterns;
   ///   - kCutOffset - cut_delta as a uint32, so the smaller delta ranks
   ///     first for either sign;
   ///   - ~cell, so the smaller id ranks first; every key is unique and
   ///     the heap top is too.
-  /// min_cut_first (ablation) puts the cut field above conn.  The mode is
-  /// fixed when a key is built, so every compare is one integer `>`.
   using FrontierEntry = unsigned __int128;
   static constexpr std::uint32_t kCutOffset = 0x7FFF'FFFFu;
 
-  [[nodiscard]] FrontierEntry encode(double conn, std::int32_t cut_delta,
-                                     CellId cell) const {
+  [[nodiscard]] static FrontierEntry encode(double conn,
+                                            std::int32_t cut_delta,
+                                            CellId cell) {
     assert(conn > 0.0);  // bit order is value order only for conn > 0
     const FrontierEntry gain = std::bit_cast<std::uint64_t>(conn);
     const FrontierEntry cut =
         kCutOffset - static_cast<std::uint32_t>(cut_delta);
-    const FrontierEntry head =
-        cfg_.min_cut_first ? (cut << 64) | gain : (gain << 32) | cut;
-    return (head << 32) | ~cell;
+    return (((gain << 32) | cut) << 32) | ~cell;
   }
-  [[nodiscard]] double conn_of(FrontierEntry e) const {
-    const auto gain =
-        static_cast<std::uint64_t>(e >> (cfg_.min_cut_first ? 32 : 64));
-    return std::bit_cast<double>(gain);
+  [[nodiscard]] static double conn_of(FrontierEntry e) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(e >> 64));
   }
-  [[nodiscard]] std::int32_t cut_delta_of(FrontierEntry e) const {
-    const auto cut =
-        static_cast<std::uint32_t>(e >> (cfg_.min_cut_first ? 96 : 32));
+  [[nodiscard]] static std::int32_t cut_delta_of(FrontierEntry e) {
+    const auto cut = static_cast<std::uint32_t>(e >> 32);
     return static_cast<std::int32_t>(kCutOffset - cut);
   }
   [[nodiscard]] static CellId cell_of(FrontierEntry e) {

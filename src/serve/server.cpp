@@ -666,9 +666,18 @@ Status Server::serve(const std::atomic<bool>& stop_flag,
     /// Serializes writes from workers and the reader; reads stay on the
     /// single reader thread, so the stream itself is not guarded.
     Mutex write_mu;
+    /// Set as the reader returns, so the accept loop can join it.
+    std::atomic<bool> reader_done{false};
   };
-  std::vector<std::thread> readers;
-  std::vector<std::weak_ptr<Conn>> conns;
+  struct Reader {
+    std::thread thread;
+    std::shared_ptr<Conn> conn;
+  };
+  /// The readers not yet joined.  Each pass of the accept loop joins and
+  /// drops the ones that have returned: an unjoined thread keeps its
+  /// stack mapped, so a daemon that kept one per served connection would
+  /// run out of mappings.
+  std::vector<Reader> readers;
 
   Status accept_status = Status::ok();
   while (!stop_flag.load(std::memory_order_relaxed)) {
@@ -683,12 +692,19 @@ Status Server::serve(const std::atomic<bool>& stop_flag,
       accept_status = st;
       break;
     }
+    for (auto it = readers.begin(); it != readers.end();) {
+      if (it->conn->reader_done.load()) {
+        it->thread.join();
+        it = readers.erase(it);
+      } else {
+        ++it;
+      }
+    }
     if (!accepted) continue;
 
     auto conn = std::make_shared<Conn>();
     conn->stream = std::move(stream);
-    conns.push_back(conn);
-    readers.emplace_back([this, conn] {
+    std::thread reader([this, conn] {
       std::string line;
       for (;;) {
         bool eof = false;
@@ -719,16 +735,16 @@ Status Server::serve(const std::atomic<bool>& stop_flag,
         if (eof) break;
       }
       conn->stream.shutdown();
+      conn->reader_done.store(true);
     });
+    readers.push_back({std::move(reader), std::move(conn)});
   }
 
   listener.close();
-  for (const std::weak_ptr<Conn>& weak : conns) {
-    if (const std::shared_ptr<Conn> conn = weak.lock()) {
-      conn->stream.shutdown();  // unblocks the reader's recv
-    }
+  for (Reader& r : readers) {
+    r.conn->stream.shutdown();  // unblocks the reader's recv
   }
-  for (std::thread& t : readers) t.join();
+  for (Reader& r : readers) r.thread.join();
   return accept_status;
 }
 

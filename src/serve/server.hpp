@@ -22,7 +22,8 @@
 //
 // The Server is usable without a socket (submit()/handle_line(), as the
 // tests do) or as a daemon via serve(), which owns the Unix-socket
-// accept loop and one reader thread per connection.
+// accept loop and one reader thread per open connection; the accept loop
+// joins a reader once its connection has closed.
 //
 // Lock ordering (enforced by GTL_ACQUIRED_AFTER under Clang
 // -Wthread-safety-beta; see README "Code quality"):

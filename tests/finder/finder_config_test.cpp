@@ -127,7 +127,6 @@ FinderConfig non_default_config() {
   cfg.num_seeds = 321;
   cfg.max_ordering_length = 12'345;
   cfg.large_net_threshold = 0;
-  cfg.min_cut_first = true;
   cfg.score = ScoreKind::kNgtlS;
   cfg.refine_seeds = 5;
   cfg.num_threads = 3;
@@ -139,7 +138,6 @@ void expect_config_eq(const FinderConfig& a, const FinderConfig& b) {
   EXPECT_EQ(a.num_seeds, b.num_seeds);
   EXPECT_EQ(a.max_ordering_length, b.max_ordering_length);
   EXPECT_EQ(a.large_net_threshold, b.large_net_threshold);
-  EXPECT_EQ(a.min_cut_first, b.min_cut_first);
   EXPECT_EQ(a.score, b.score);
   EXPECT_EQ(a.refine_seeds, b.refine_seeds);
   EXPECT_EQ(a.num_threads, b.num_threads);
@@ -180,8 +178,8 @@ TEST(FinderConfigJson, PartialConfigKeepsDefaults) {
 
 TEST(FinderConfigJson, RejectsUnknownKey) {
   // A typo, and keys that were removed: configs that still send the old
-  // scheduling knob, clear-minimum thresholds, Rent floor or dedup switch
-  // are rejected like any other unknown key.
+  // scheduling knob, clear-minimum thresholds, Rent floor, dedup switch
+  // or min-cut-first ordering are rejected like any other unknown key.
   struct Case {
     const char* text;
     const char* key;  // must appear in the error message
@@ -193,7 +191,8 @@ TEST(FinderConfigJson, RejectsUnknownKey) {
              "dynamic_scheduling"},
         Case{R"({"minimum": {"min_size": 30}})", "minimum"},
         Case{R"({"curve": {"rent_min_k": 10}})", "curve"},
-        Case{R"({"dedup_candidates": true})", "dedup_candidates"}}) {
+        Case{R"({"dedup_candidates": true})", "dedup_candidates"},
+        Case{R"({"min_cut_first": false})", "min_cut_first"}}) {
     FinderConfig cfg;
     const Status st = parse_finder_config(c.text, &cfg);
     ASSERT_FALSE(st.is_ok()) << c.text;

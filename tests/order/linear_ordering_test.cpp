@@ -277,34 +277,16 @@ TEST(LinearOrdering, StaysInsidePlantedGtlUntilExhausted) {
 }
 
 
-TEST(LinearOrdering, MinCutFirstChangesCriterionOrder) {
-  // The paper's §3.2.1 counterexample: seed 0 has a weakly connected
-  // neighbor (one 2-pin net, zero cut delta because its net would be
-  // absorbed... construct: cell 1 via one 2-pin net and no other nets
-  // (delta -1); cell 2 via two 2-pin nets but with two extra untouched
-  // nets (delta 0).  Connection-first picks 2 (conn 1.0 > 0.5); min-cut
-  // first picks 1 (delta -1 < 0).
+TEST(LinearOrdering, ConnectionFirstBeatsMinCutDelta) {
+  // The paper's §3.2.1 counterexample: from seed 0, cell 1 hangs on one
+  // 2-pin net and nothing else (conn 0.5, cut delta -1), while cell 2
+  // shares two 2-pin nets with the seed and has two nets still outside
+  // (conn 1.0, cut delta 0).  Connection first absorbs cell 2 although
+  // cell 1 would cut less.
   const Netlist nl = testing::make_netlist(
       5, {{0, 1}, {0, 2}, {0, 2}, {2, 3}, {2, 4}});
-  OrderingEngine conn_first(
-      nl, {.max_length = 2, .large_net_threshold = 0, .min_cut_first = false});
-  OrderingEngine cut_first(
-      nl, {.max_length = 2, .large_net_threshold = 0, .min_cut_first = true});
-  EXPECT_EQ(conn_first.grow(0).cells[1], 2u);
-  EXPECT_EQ(cut_first.grow(0).cells[1], 1u);
-}
-
-TEST(LinearOrdering, MinCutFirstStillCoversGraph) {
-  const Netlist nl = testing::make_grid3x3();
-  OrderingEngine engine(
-      nl, {.max_length = 9, .large_net_threshold = 0, .min_cut_first = true});
-  const LinearOrdering ord = engine.grow(0);
-  EXPECT_EQ(ord.cells.size(), 9u);
-  GroupConnectivity group(nl);
-  for (std::size_t k = 0; k < ord.cells.size(); ++k) {
-    group.add(ord.cells[k]);
-    ASSERT_EQ(group.cut(), ord.prefix_cut[k]);
-  }
+  OrderingEngine engine(nl, {.max_length = 2, .large_net_threshold = 0});
+  EXPECT_EQ(engine.grow(0).cells[1], 2u);
 }
 
 /// A random netlist with the engine's corner cases: 1-pin nets on movable

@@ -5,11 +5,11 @@
 // keeps the frontier in a std::set (the original implementation,
 // reproduced verbatim below).  It asserts byte-identical LinearOrdering
 // output — cells, prefix_cut and prefix_pins — across netlists, growth
-// seeds, large-net thresholds and both tie-break modes.  Both engines
-// rank frontier cells by the same strict total order (conn desc,
-// cut_delta asc, cell asc): the reference compares the three fields in
-// turn, and the production engine encodes the same order in one unsigned
-// 128-bit key.  Any divergence is a bug in one of the two.
+// seeds and large-net thresholds.  Both engines rank frontier cells by
+// the same strict total order (conn desc, cut_delta asc, cell asc): the
+// reference compares the three fields in turn, and the production engine
+// encodes the same order in one unsigned 128-bit key.  Any divergence is
+// a bug in one of the two.
 
 #include "order/linear_ordering.hpp"
 
@@ -62,8 +62,7 @@ class SetFrontierEngine {
         conn_(nl.num_cells(), 0.0),
         cut_delta_(nl.num_cells(), 0),
         state_(nl.num_cells(), 0),
-        pins_in_(nl.num_nets(), 0),
-        frontier_(Compare{cfg.min_cut_first}) {}
+        pins_in_(nl.num_nets(), 0) {}
 
   LinearOrdering grow(CellId seed) {
     for (const CellId c : touched_cells_) {
@@ -103,15 +102,9 @@ class SetFrontierEngine {
     CellId cell;
   };
   struct Compare {
-    bool min_cut_first = false;
     bool operator()(const Key& a, const Key& b) const {
-      if (min_cut_first) {
-        if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-        if (a.conn != b.conn) return a.conn > b.conn;
-      } else {
-        if (a.conn != b.conn) return a.conn > b.conn;
-        if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
-      }
+      if (a.conn != b.conn) return a.conn > b.conn;
+      if (a.cut_delta != b.cut_delta) return a.cut_delta < b.cut_delta;
       return a.cell < b.cell;
     }
   };
@@ -287,23 +280,20 @@ TEST(OrderingFrontierEquivalence, ByteIdenticalAcrossSeedsAndConfigs) {
   for (const std::uint64_t graph_seed : {1u, 7u, 42u}) {
     const PlantedGraph pg = make_graph(480, graph_seed);
     for (const std::uint32_t threshold : {0u, 3u, 20u}) {
-      for (const bool min_cut_first : {false, true}) {
-        const OrderingConfig cfg{.max_length = 240,
-                                 .large_net_threshold = threshold,
-                                 .min_cut_first = min_cut_first};
-        OrderingEngine engine(pg.netlist, cfg);
-        SetFrontierEngine reference(pg.netlist, cfg);
-        Rng rng(graph_seed * 1000 + threshold);
-        for (int rep = 0; rep < 4; ++rep) {
-          const CellId seed = static_cast<CellId>(
-              rng.next_below(pg.netlist.num_cells()));
-          if (pg.netlist.is_fixed(seed)) continue;
-          expect_identical(engine.grow(seed), reference.grow(seed));
-        }
-        // Also from inside a planted GTL (the common finder case).
-        const CellId gtl_seed = pg.gtl_members[0][0];
-        expect_identical(engine.grow(gtl_seed), reference.grow(gtl_seed));
+      const OrderingConfig cfg{.max_length = 240,
+                               .large_net_threshold = threshold};
+      OrderingEngine engine(pg.netlist, cfg);
+      SetFrontierEngine reference(pg.netlist, cfg);
+      Rng rng(graph_seed * 1000 + threshold);
+      for (int rep = 0; rep < 4; ++rep) {
+        const CellId seed = static_cast<CellId>(
+            rng.next_below(pg.netlist.num_cells()));
+        if (pg.netlist.is_fixed(seed)) continue;
+        expect_identical(engine.grow(seed), reference.grow(seed));
       }
+      // Also from inside a planted GTL (the common finder case).
+      const CellId gtl_seed = pg.gtl_members[0][0];
+      expect_identical(engine.grow(gtl_seed), reference.grow(gtl_seed));
     }
   }
 
@@ -334,19 +324,15 @@ TEST(OrderingFrontierEquivalence, ByteIdenticalAcrossSeedsAndConfigs) {
   }
   for (const auto& [nl, seeds] : inputs) {
     for (const std::uint32_t threshold : {0u, 3u, 20u}) {
-      for (const bool min_cut_first : {false, true}) {
-        const OrderingConfig cfg{.max_length = 240,
-                                 .large_net_threshold = threshold,
-                                 .min_cut_first = min_cut_first};
-        OrderingEngine engine(*nl, cfg);
-        SetFrontierEngine reference(*nl, cfg);
-        for (const CellId seed : seeds) {
-          SCOPED_TRACE(::testing::Message()
-                       << "cells=" << nl->num_cells() << " seed=" << seed
-                       << " threshold=" << threshold
-                       << " min_cut_first=" << min_cut_first);
-          expect_identical(engine.grow(seed), reference.grow(seed));
-        }
+      const OrderingConfig cfg{.max_length = 240,
+                               .large_net_threshold = threshold};
+      OrderingEngine engine(*nl, cfg);
+      SetFrontierEngine reference(*nl, cfg);
+      for (const CellId seed : seeds) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cells=" << nl->num_cells() << " seed=" << seed
+                     << " threshold=" << threshold);
+        expect_identical(engine.grow(seed), reference.grow(seed));
       }
     }
   }

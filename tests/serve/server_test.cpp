@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -720,6 +721,60 @@ TEST(Server, BindFailureNeverFiresListeningCallback) {
   EXPECT_FALSE(st.is_ok());
   EXPECT_FALSE(fired);
   EXPECT_FALSE(std::filesystem::exists(missing_dir));
+}
+
+/// Lines of /proc/self/maps, one per mapping; 0 when it cannot be read.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Server, ClosedConnectionsReleaseTheirReaderThreads) {
+  // Every connection gets a reader thread.  A reader left unjoined after
+  // its peer closes keeps its stack and guard page mapped, two lines of
+  // /proc/self/maps, so a daemon that served connections one after
+  // another would grow by ~128 lines over the 64 here.
+  const std::size_t at_start = mapping_count();
+  if (at_start == 0) GTEST_SKIP() << "/proc/self/maps is not readable";
+
+  const std::filesystem::path socket_path =
+      std::filesystem::temp_directory_path() / "gtl_server_readers.sock";
+  std::filesystem::remove(socket_path);
+  ServerConfig cfg;
+  cfg.socket_path = socket_path;
+  cfg.workers = 1;
+  Server server(cfg);
+  std::atomic<bool> stop{false};
+  Status serve_status = Status::ok();
+  std::thread serving([&] { serve_status = server.serve(stop); });
+
+  const auto one_status_call = [&socket_path] {
+    Client client;
+    ASSERT_TRUE(connect_with_retry(socket_path, &client).is_ok());
+    JsonValue status;
+    ASSERT_TRUE(client.status(&status).is_ok());
+  };
+  // The first call maps what every later reader reuses (a cached stack).
+  one_status_call();
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 64; ++i) one_status_call();
+
+  // The accept loop joins finished readers at least every 100 ms.
+  constexpr std::size_t kSlack = 16;
+  std::size_t after = mapping_count();
+  for (int i = 0; i < 100 && after > before + kSlack; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = mapping_count();
+  }
+  EXPECT_LE(after, before + kSlack)
+      << "mappings grew from " << before << " to " << after
+      << " over 64 closed connections";
+
+  stop.store(true);
+  serving.join();
+  EXPECT_TRUE(serve_status.is_ok()) << serve_status.to_string();
 }
 
 TEST(Server, LoadDesignOverWireFromSnapshot) {
